@@ -25,21 +25,27 @@ class DistortionReport:
     sigma_min: float
 
 
+def _has_repeat(idx: np.ndarray) -> np.ndarray:
+    """Per row of idx, whether it holds a value twice."""
+    srt = np.sort(idx, axis=1)
+    return np.any(srt[:, 1:] == srt[:, :-1], axis=1)
+
+
 def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.ndarray:
     """zeta distinct uniform row indices for each of m columns, shape (m, zeta).
 
     Sampled by vectorized rejection: redraw only the columns whose draw
-    contains a repeat. For zeta << d almost no redraws are needed.
+    contains a repeat, and check only those again. For zeta << d almost no
+    redraws are needed.
     """
     if zeta == d:
         return np.tile(np.arange(d), (m, 1))
     idx = rng.integers(0, d, size=(m, zeta))
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
+    bad = np.flatnonzero(_has_repeat(idx))
+    while bad.size:
+        idx[bad] = rng.integers(0, d, size=(bad.size, zeta))
+        bad = bad[_has_repeat(idx[bad])]
+    return idx
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,6 @@ class SparseSignEmbedding:
     d: int
     m: int
     zeta: int
-    rows: np.ndarray  # (m, zeta) distinct row indices per column
-    signs: np.ndarray  # (m, zeta) values +-1
     scale: float
     _mat: sp.csc_matrix = field(repr=False, compare=False, default=None)
 
@@ -58,6 +62,19 @@ class SparseSignEmbedding:
     def matrix(self) -> sp.csc_matrix:
         """Column-compressed sparse representation of S."""
         return self._mat
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(m, zeta) distinct row indices per column: a read-only view of the
+        CSC indices."""
+        rows = self._mat.indices.reshape(self.m, self.zeta)
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def signs(self) -> np.ndarray:
+        """(m, zeta) values +-1, computed from the CSC data."""
+        return np.sign(self._mat.data).reshape(self.m, self.zeta)
 
     def apply_dense(self, a: np.ndarray) -> np.ndarray:
         """S @ a for a dense m x n matrix (or length-m vector)."""
@@ -94,9 +111,7 @@ def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbed
     indices = rows.ravel()
     indptr = zeta * np.arange(m + 1)
     mat = sp.csc_matrix((data, indices, indptr), shape=(d, m))
-    return SparseSignEmbedding(
-        d=d, m=m, zeta=zeta, rows=rows, signs=signs, scale=scale, _mat=mat
-    )
+    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=scale, _mat=mat)
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,18 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
+    """What a solve records per iteration: n-length iterates and scalars.
+
+    No m-length vector is kept; the residual of iterate i is
+    ``b - a @ iterates[i]``, bit for bit what the solver computed.
+    ``residual_changes[i]`` is ||r_{i+1} - r_i||. ``stop_thresholds[i]`` is
+    the stopping-rule right-hand side it was compared to; it stays empty
+    for sketch-and-precondition, which LSQR's own tolerance ends.
+    """
+
     iterates: list[np.ndarray] = field(default_factory=list)
-    residual_vectors: list[np.ndarray] = field(default_factory=list)
     residual_changes: list[float] = field(default_factory=list)
+    stop_thresholds: list[float] = field(default_factory=list)
     fe: list[float] = field(default_factory=list)
     re: list[float] = field(default_factory=list)
     be: list[float] = field(default_factory=list)
@@ -185,11 +194,18 @@ def should_stop(
     ||r_{i+1} - r_i|| <= u * (gamma*normest*||x_{i+1}|| + rho*condest*||r_{i+1}||).
     """
     change = np.linalg.norm(np.asarray(r_next) - np.asarray(r_curr))
-    rhs = u * (
-        gamma * normest * np.linalg.norm(x_next)
-        + rho * condest * np.linalg.norm(r_next)
+    rhs = _stop_threshold(
+        np.linalg.norm(x_next), np.linalg.norm(r_next), normest, condest, u, gamma, rho
     )
     return bool(change <= rhs)
+
+
+def _stop_threshold(
+    norm_x: float, norm_r: float, normest: float, condest: float, u: float,
+    gamma: float, rho: float,
+) -> float:
+    """Right-hand side of the stopping rule, from ||x_{i+1}|| and ||r_{i+1}||."""
+    return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
 
 
 def _sketch_matrix(s: SparseSignEmbedding, a) -> np.ndarray:
@@ -243,7 +259,6 @@ def _record(
     track_be: bool,
 ) -> None:
     trace.iterates.append(x)
-    trace.residual_vectors.append(r)
     if truth is not None:
         trace.fe.append(float(np.linalg.norm(truth.x - x) / np.linalg.norm(truth.x)))
         if truth.beta > 0:
@@ -298,19 +313,21 @@ def _run_refinement(
             x_next = x + alpha * d + beta * (x - x_prev)
         r_next = b - a @ x_next
         change = float(np.linalg.norm(r_next - r))
+        resnorm = float(np.linalg.norm(r_next))
+        threshold = _stop_threshold(
+            float(np.linalg.norm(x_next)), resnorm, normest, condest,
+            cfg.unit_roundoff, cfg.stop_gamma, cfg.stop_rho,
+        )
         trace.residual_changes.append(change)
-        if guard.diverged(float(np.linalg.norm(r_next)), x_next):
+        trace.stop_thresholds.append(threshold)
+        if guard.diverged(resnorm, x_next):
             _record(trace, a, b, x_next, r_next, truth, cfg.track_be)
             trace.stop_reason = "diverged"
             return SolveResult(solution=x_next, trace=trace, config=cfg)
         x_prev, x, r = x, x_next, r_next
         _record(trace, a, b, x, r, truth, cfg.track_be)
-        if remaining_extra is None:
-            if should_stop(
-                r, trace.residual_vectors[-2], x, normest, condest,
-                cfg.unit_roundoff, cfg.stop_gamma, cfg.stop_rho,
-            ):
-                remaining_extra = cfg.extra_iters
+        if remaining_extra is None and change <= threshold:
+            remaining_extra = cfg.extra_iters
         if remaining_extra is not None:
             if remaining_extra == 0:
                 trace.stop_reason = "stopped_by_rule"
@@ -497,29 +514,22 @@ def sketch_and_precondition(
     normest = rand_power_norm_est(qr.r, rng_seed=cfg.rng_seed)
     condest = cond_est(qr.r)
     trace = SolveTrace(normest=normest, condest=condest)
-    r0 = b - a @ x0
-    _record(trace, a, b, x0, r0, truth, cfg.track_be)
+    r_prev = b - a @ x0
+    _record(trace, a, b, x0, r_prev, truth, cfg.track_be)
 
     def on_iterate(z: np.ndarray) -> None:
+        nonlocal r_prev
         xk = x0 + tri_solve_upper(qr.r, z)
         rk = b - a @ xk
-        trace.residual_changes.append(
-            float(np.linalg.norm(rk - trace.residual_vectors[-1]))
-        )
+        trace.residual_changes.append(float(np.linalg.norm(rk - r_prev)))
         _record(trace, a, b, xk, rk, truth, cfg.track_be)
+        r_prev = rk
 
     x, _ = lsqr(
         a, b, x0, qr.r, max_iters=cfg.max_iters,
         rtol=cfg.unit_roundoff, callback=on_iterate,
     )
     trace.stop_reason = "max_iters" if len(trace.iterates) - 1 >= cfg.max_iters else "stopped_by_rule"
-    # the final x applies one last triangular solve to the converged z; make
-    # the reported solution consistent with the last traced iterate
-    trace.iterates[-1] = x
-    trace.residual_vectors[-1] = b - a @ x
-    if truth is not None:
-        trace.fe[-1] = float(np.linalg.norm(truth.x - x) / np.linalg.norm(truth.x))
-        rlast = trace.residual_vectors[-1]
-        if truth.beta > 0:
-            trace.re[-1] = float(np.linalg.norm(truth.r - rlast) / truth.beta)
+    # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
+    # last traced iterate bit for bit
     return SolveResult(solution=x, trace=trace, config=cfg)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from itsketch.embed import (
     GaussianEmbedding,
+    _distinct_rows,
     choose_dim,
     default_distortion,
     measure_distortion,
@@ -18,6 +19,18 @@ from itsketch.linalg import householder_qr_econ, lambert_w0, svd_values
 
 def densify(s):
     return np.asarray(s.matrix.todense())
+
+
+def _distinct_rows_resort_all(d, m, zeta, rng):
+    """Reference rejection sampler: after each redraw, sort and check every
+    column again."""
+    idx = rng.integers(0, d, size=(m, zeta))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
+        if not bad.any():
+            return idx
+        idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
 
 
 class TestSparseSignNew:
@@ -49,6 +62,22 @@ class TestSparseSignNew:
         s1 = sparse_sign_new(20, 30, 4, rng_seed=7)
         s2 = sparse_sign_new(20, 30, 4, rng_seed=7)
         assert np.array_equal(s1.rows, s2.rows) and np.array_equal(s1.signs, s2.signs)
+
+    # (20, 5000, 8) and (10, 3000, 9) need many redraw rounds
+    @pytest.mark.parametrize("d,m,zeta", [(3, 500, 2), (20, 5000, 8), (10, 3000, 9), (400, 20000, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distinct_rows_matches_resort_all(self, d, m, zeta, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = _distinct_rows(d, m, zeta, rng)
+        assert np.array_equal(idx, _distinct_rows_resort_all(d, m, zeta, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_stored_once(self):
+        s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
+        assert not any(isinstance(v, np.ndarray) for v in vars(s).values())
+        assert np.shares_memory(s.rows, s.matrix.indices)
+        assert not s.rows.flags.writeable
+        np.testing.assert_array_equal(s.signs * s.scale, s.matrix.data.reshape(40, 6))
 
     def test_monte_carlo_isotropy(self):
         # Entrywise average of S'S over 500 seeds approximates the identity.

@@ -2,6 +2,8 @@
 stopping rule, LSQR, and the deliberately-unstable baselines."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from itsketch.linalg import (
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
-from itsketch.problems import gen_randsvd
+from itsketch.problems import gen_randsvd, gen_sparse
 from itsketch.solvers import (
     RateHypothesisError,
     SolverConfig,
@@ -228,7 +230,7 @@ class TestIterativeSketching:
         r_fac = householder_qr_econ(s.apply_dense(p.a)).r
         tr = res.trace
         for i in range(len(tr.iterates) - 1):
-            c = p.a.T @ tr.residual_vectors[i]
+            c = p.a.T @ (p.b - p.a @ tr.iterates[i])
             d = tri_solve_upper(r_fac, tri_solve_upper_transpose(r_fac, c))
             assert np.array_equal(tr.iterates[i + 1], tr.iterates[i] + d)
 
@@ -348,6 +350,100 @@ class TestSketchAndPrecondition:
         res = sketch_and_precondition(p.a, p.b, SolverConfig(d=200, max_iters=30), p.truth)
         assert len(res.trace.iterates) == res.iterations + 1
         assert len(res.trace.residual_changes) == res.iterations
+        assert res.trace.stop_thresholds == []
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.0])
+    def test_solution_is_last_traced_iterate(self, beta):
+        p = gen_randsvd(600, 12, 1e4, beta, 2)
+        res = sketch_and_precondition(p.a, p.b, SolverConfig(d=240, max_iters=40), p.truth)
+        assert np.array_equal(res.solution, res.trace.iterates[-1])
+        fe = np.linalg.norm(p.truth.x - res.solution) / np.linalg.norm(p.truth.x)
+        assert res.trace.fe[-1] == float(fe)
+        r = p.b - p.a @ res.solution
+        re = np.linalg.norm(p.truth.r - r) / beta if beta > 0 else np.linalg.norm(r) / np.linalg.norm(p.b)
+        assert res.trace.re[-1] == float(re)
+
+
+def _held_arrays(obj):
+    """Every ndarray reachable through obj's fields and the lists they hold."""
+    stack = list(vars(obj).values())
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+
+
+_SOLVES = {
+    "basic": lambda a, b, cfg: iterative_sketching(a, b, cfg),
+    "momentum": lambda a, b, cfg: iterative_sketching(a, b, replace(cfg, variant="momentum")),
+    "bad_residual": lambda a, b, cfg: bad_variant(a, b, cfg, "bad_residual"),
+    "sp": lambda a, b, cfg: sketch_and_precondition(a, b, cfg),
+}
+
+
+class TestTraceMemory:
+    """A trace holds n-length iterates and scalars only; residuals are
+    recovered as b - A x_i."""
+
+    @pytest.mark.parametrize("solve", sorted(_SOLVES))
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_residual_changes_from_iterates(self, solve, dense):
+        p = gen_randsvd(800, 12, 1e6, 1e-3, 3) if dense else gen_sparse(3000, 12, 3)
+        res = _SOLVES[solve](p.a, p.b, SolverConfig(d=240, max_iters=25, rng_seed=3))
+        xs = res.trace.iterates
+        assert len(res.trace.residual_changes) == len(xs) - 1 > 0
+        for i, change in enumerate(res.trace.residual_changes):
+            r_next, r_curr = p.b - p.a @ xs[i + 1], p.b - p.a @ xs[i]
+            assert float(np.linalg.norm(r_next - r_curr)) == change
+
+    def test_no_m_length_array_held(self):
+        m, n = 50_000, 20
+        p = gen_sparse(m, n, 0)
+        cfg = SolverConfig(d=400, max_iters=20)
+        for res in (iterative_sketching(p.a, p.b, cfg), sketch_and_precondition(p.a, p.b, cfg)):
+            held = list(_held_arrays(res.trace))
+            assert len(held) == res.iterations + 1
+            assert max(arr.size for arr in held) <= n
+
+    def test_peak_memory_flat_in_iterations(self):
+        p = gen_sparse(20_000, 10, 0)  # the stop rule never fires on it
+
+        def peak(max_iters):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                res = iterative_sketching(p.a, p.b, SolverConfig(d=200, max_iters=max_iters))
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.iterations == max_iters
+            return top - base
+
+        assert peak(100) - peak(10) < 2**20
+
+    @pytest.mark.parametrize("variant", ["basic", "momentum"])
+    def test_stop_thresholds_match_rule(self, variant):
+        p = gen_randsvd(1000, 20, 1e8, 1e-4, 7)
+        cfg = SolverConfig(d=400, max_iters=100, variant=variant)
+        res = iterative_sketching(p.a, p.b, cfg)
+        tr = res.trace
+        assert tr.stop_reason == "stopped_by_rule"
+        assert len(tr.stop_thresholds) == len(tr.residual_changes) == res.iterations
+        fired = [c <= t for c, t in zip(tr.residual_changes, tr.stop_thresholds)]
+        assert fired.index(True) == res.iterations - 1
+        for i, threshold in enumerate(tr.stop_thresholds):
+            x_next, x_curr = tr.iterates[i + 1], tr.iterates[i]
+            r_next = p.b - p.a @ x_next
+            expect = U * (
+                cfg.stop_gamma * tr.normest * np.linalg.norm(x_next)
+                + cfg.stop_rho * tr.condest * np.linalg.norm(r_next)
+            )
+            assert threshold == float(expect)
+            assert fired[i] == should_stop(
+                r_next, p.b - p.a @ x_curr, x_next, tr.normest, tr.condest, U
+            )
 
 
 class TestBadVariants:
