@@ -7,23 +7,20 @@ Dense linear-algebra kernels, sparse sign embeddings, iterative sketching
 
 from .linalg import (
     QrFactors,
-    cond_est,
     householder_qr_econ,
     lambert_w0,
-    rand_power_norm_est,
+    qr_solve,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
 from .embed import (
     DistortionReport,
-    GaussianEmbedding,
     SparseSignEmbedding,
     choose_dim,
     measure_distortion,
 )
 from .metrics import (
-    ErrorReport,
     backward_error,
     forward_error,
     residual_error,
@@ -51,18 +48,15 @@ from .solvers import (
 __all__ = [
     "QrFactors",
     "householder_qr_econ",
+    "qr_solve",
     "tri_solve_upper",
     "tri_solve_upper_transpose",
     "svd_values",
-    "rand_power_norm_est",
-    "cond_est",
     "lambert_w0",
     "SparseSignEmbedding",
-    "GaussianEmbedding",
     "DistortionReport",
     "measure_distortion",
     "choose_dim",
-    "ErrorReport",
     "forward_error",
     "residual_error",
     "backward_error",

@@ -1,8 +1,8 @@
 """Random subspace embeddings.
 
-The workhorse is the sparse sign embedding: a d x m matrix whose columns
-each carry exactly zeta entries of value +-1/sqrt(zeta) in distinct random
-rows. A dense Gaussian embedding is included as a test cross-check only.
+The sparse sign embedding: a d x m matrix whose columns each carry exactly
+zeta entries of value +-1/sqrt(zeta) in distinct random rows. Also the
+distortion measurement and the embedding-dimension formula.
 """
 
 from __future__ import annotations
@@ -104,30 +104,12 @@ def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbed
     if not 1 <= zeta <= d:
         raise ValueError(f"need 1 <= zeta <= d, got zeta={zeta}, d={d}")
     rng = np.random.default_rng(rng_seed)
-    rows = _distinct_rows(d, m, zeta, rng)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=(m, zeta))
+    indices = _distinct_rows(d, m, zeta, rng).ravel()
     scale = 1.0 / math.sqrt(zeta)
-    data = (signs * scale).ravel()
-    indices = rows.ravel()
+    data = rng.choice(np.array([-scale, scale]), size=m * zeta)
     indptr = zeta * np.arange(m + 1)
     mat = sp.csc_matrix((data, indices, indptr), shape=(d, m))
     return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=scale, _mat=mat)
-
-
-@dataclass(frozen=True)
-class GaussianEmbedding:
-    """Dense Gaussian embedding with iid N(0, 1/d) entries (test use only)."""
-
-    d: int
-    m: int
-    seed: int
-
-    def materialize(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.standard_normal((self.d, self.m)) / math.sqrt(self.d)
-
-    def apply_dense(self, a: np.ndarray) -> np.ndarray:
-        return self.materialize() @ np.asarray(a, dtype=float)
 
 
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:

@@ -1,8 +1,7 @@
 """Dense linear-algebra kernels shared by the whole package.
 
-Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy) plus a
-few small routines (randomized power norm estimate, Lambert W) written
-directly.
+Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy) plus
+Lambert W, written directly.
 """
 
 from __future__ import annotations
@@ -68,49 +67,32 @@ def tri_solve_upper_transpose(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return solve_triangular(r, np.asarray(c, dtype=float), lower=False, trans="T")
 
 
+def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder least-squares solution of min ||b - a x|| for a vector b,
+    and the R factor of a with nonnegative diagonal.
+
+    Only R of [a | b] is computed: its leading n x n block is R and the last
+    column of those rows is Q'b, so Q is never formed.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"need m >= n, got {m} x {n}")
+    r_aug = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    signs = np.sign(np.diag(r_aug)[:n])
+    signs[signs == 0] = 1.0
+    r = signs[:, None] * r_aug[:n, :n]
+    return tri_solve_upper(r, signs * r_aug[:n, n]), r
+
+
 def svd_values(a: np.ndarray) -> np.ndarray:
     """Singular values of a, sorted descending."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     return np.linalg.svd(a, compute_uv=False)
-
-
-def rand_power_norm_est(
-    r: np.ndarray, steps: int | None = None, rng_seed: int = 0
-) -> float:
-    """Estimate the spectral norm of a square matrix by the randomized
-    power method applied to r.T @ r.
-
-    Starts from a normalized Gaussian vector; the returned value never
-    exceeds the true largest singular value. Default step count is
-    ceil(log2 n), at least 1.
-    """
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if steps is None:
-        steps = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(steps):
-        w = r.T @ (r @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # started in the null space; estimate is a valid lower bound
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(r @ v))
-
-
-def cond_est(r: np.ndarray) -> float:
-    """Condition number of an upper-triangular matrix, computed exactly
-    from its singular values (n is small throughout this package)."""
-    r = _check_square_upper(r)
-    sv = svd_values(r)
-    return float(sv[0] / sv[-1])
 
 
 def lambert_w0(x: float) -> float:

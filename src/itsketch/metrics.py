@@ -7,8 +7,6 @@ bounds used as reference accuracy levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import svd_values
@@ -16,16 +14,6 @@ from .linalg import svd_values
 
 class WedinHypothesisError(ValueError):
     """The perturbation-bound hypothesis eps * kappa <= 0.1 is violated."""
-
-
-@dataclass
-class ErrorReport:
-    fe: float
-    re: float
-    be: float | None = None
-    re_degenerate: bool = False  # true residual was zero; re is ||r_hat|| / ||b||
-    wedin_fe_bound: float | None = None
-    wedin_re_bound: float | None = None
 
 
 def forward_error(x_true: np.ndarray, x_hat: np.ndarray) -> float:

@@ -45,11 +45,7 @@ class KernelConfig:
 def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed k x k orthogonal matrix: QR of a Gaussian matrix
     with the R-diagonal sign correction (required for Haar measure)."""
-    g = rng.standard_normal((k, k))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return _haar_stiefel(k, k, rng)
 
 
 def _haar_stiefel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -16,11 +17,9 @@ import scipy.sparse as sp
 
 from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
 from .linalg import (
-    QrFactors,
     SingularMatrixError,
-    cond_est,
-    householder_qr_econ,
-    rand_power_norm_est,
+    qr_solve,
+    svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
@@ -78,9 +77,9 @@ class SolveTrace:
     fe: list[float] = field(default_factory=list)
     re: list[float] = field(default_factory=list)
     be: list[float] = field(default_factory=list)
-    stop_reason: str = "max_iters"  # stopped_by_rule | max_iters | diverged
-    normest: float = 0.0
-    condest: float = 0.0
+    stop_reason: str = "max_iters"  # stopped_by_rule | max_iters | diverged | lsqr_tolerance
+    normest: float = 0.0  # sigma_max of the sketch's R factor
+    condest: float = 0.0  # sigma_max / sigma_min of the sketch's R factor
 
 
 @dataclass
@@ -214,16 +213,28 @@ def _sketch_matrix(s: SparseSignEmbedding, a) -> np.ndarray:
 
 def sketch_and_solve(
     a, b: np.ndarray, s: SparseSignEmbedding
-) -> tuple[np.ndarray, QrFactors]:
-    """Solve the sketched problem min ||Sb - (SA)y|| via economy QR of SA.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the sketched problem min ||Sb - (SA)y|| by Householder QR.
 
-    Returns the solution and the QR factors for reuse by the iteration.
-    A singular R signals a rank-deficient sketch; resample the embedding.
+    Returns the solution and the R factor of SA for reuse by the iteration.
+    An exactly singular R raises SingularMatrixError.
     """
-    qr = householder_qr_econ(_sketch_matrix(s, a))
-    sb = s.apply_vec(np.asarray(b, dtype=float))
-    x0 = tri_solve_upper(qr.r, qr.q.T @ sb)
-    return x0, qr
+    return qr_solve(_sketch_matrix(s, a), s.apply_vec(np.asarray(b, dtype=float)))
+
+
+def _sketch_factor(
+    a, b: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Validate cfg, build S, sketch-and-solve, and estimate ||A|| and
+    cond(A) from the singular values of R: (x0, R, normest, condest)."""
+    m, n = a.shape
+    cfg.validate(n)
+    s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
+    x0, r_fac = sketch_and_solve(a, b, s)
+    if cfg.init == "zero":
+        x0 = np.zeros(n)
+    sv = svd_values(r_fac)
+    return x0, r_fac, float(sv[0]), float(sv[0] / sv[-1])
 
 
 class _DivergenceGuard:
@@ -337,6 +348,20 @@ def _run_refinement(
     return SolveResult(solution=x, trace=trace, config=cfg)
 
 
+def _normal_step(r_fac: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(R'R)^-1 c by two triangular solves against the upper-triangular R."""
+    return tri_solve_upper(r_fac, tri_solve_upper_transpose(r_fac, c))
+
+
+def _refine_with_sketch_factor(
+    a, b: np.ndarray, cfg: SolverConfig, rhs, truth: Truth | None
+) -> SolveResult:
+    """_run_refinement with d_i = (R'R)^-1 rhs(x_i, r_i), R the factor of SA."""
+    x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
+    solve_step = partial(_normal_step, r_fac)
+    return _run_refinement(a, b, cfg, x0, solve_step, rhs, normest, condest, truth)
+
+
 def iterative_sketching(
     a, b: np.ndarray, cfg: SolverConfig, truth: Truth | None = None
 ) -> SolveResult:
@@ -344,22 +369,11 @@ def iterative_sketching(
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
     b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    cfg.validate(n)
-    s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
-    x0, qr = sketch_and_solve(a, b, s)
-    if cfg.init == "zero":
-        x0 = np.zeros(n)
-    normest = rand_power_norm_est(qr.r, rng_seed=cfg.rng_seed)
-    condest = cond_est(qr.r)
-
-    def solve_step(c: np.ndarray) -> np.ndarray:
-        return tri_solve_upper(qr.r, tri_solve_upper_transpose(qr.r, c))
 
     def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return a.T @ r
 
-    return _run_refinement(a, b, cfg, x0, solve_step, rhs, normest, condest, truth)
+    return _refine_with_sketch_factor(a, b, cfg, rhs, truth)
 
 
 def bad_variant(
@@ -374,36 +388,26 @@ def bad_variant(
     error.
     """
     b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    cfg.validate(n)
-    s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
 
     if kind == "bad_init":
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
 
     if kind == "bad_residual":
-        x0, qr = sketch_and_solve(a, b, s)
-        normest = rand_power_norm_est(qr.r, rng_seed=cfg.rng_seed)
-        condest = cond_est(qr.r)
         atb = a.T @ b
-
-        def solve_step(c: np.ndarray) -> np.ndarray:
-            return tri_solve_upper(qr.r, tri_solve_upper_transpose(qr.r, c))
 
         def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
             return atb - a.T @ (a @ x)
 
-        return _run_refinement(a, b, cfg, x0, solve_step, rhs, normest, condest, truth)
+        return _refine_with_sketch_factor(a, b, cfg, rhs, truth)
 
     if kind == "bad_matrix":
+        m, n = a.shape
+        cfg.validate(n)
+        s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
         sa = _sketch_matrix(s, a)
         gram = sa.T @ sa
         try:
-            chol = np.linalg.cholesky(gram)
-
-            def solve_step(c: np.ndarray) -> np.ndarray:
-                y = scipy.linalg.solve_triangular(chol, c, lower=True)
-                return scipy.linalg.solve_triangular(chol.T, y, lower=False)
+            solve_step = partial(_normal_step, np.linalg.cholesky(gram).T)
         except np.linalg.LinAlgError:
             lu_piv = scipy.linalg.lu_factor(gram)
 
@@ -413,8 +417,8 @@ def bad_variant(
         sb = s.apply_vec(b)
         x0 = solve_step(sa.T @ sb)
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
-        normest = math.sqrt(rand_power_norm_est(gram, rng_seed=cfg.rng_seed))
-        gram_sv = np.linalg.svd(gram, compute_uv=False)
+        gram_sv = svd_values(gram)
+        normest = math.sqrt(gram_sv[0])
         condest = float(math.sqrt(gram_sv[0] / max(gram_sv[-1], np.finfo(float).tiny)))
 
         def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -505,31 +509,24 @@ def sketch_and_precondition(
     """Sketch, QR-factorize the sketch, then run LSQR on A right-preconditioned
     by the R factor, starting from the sketch-and-solve or zero iterate."""
     b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    cfg.validate(n)
-    s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
-    x0, qr = sketch_and_solve(a, b, s)
-    if cfg.init == "zero":
-        x0 = np.zeros(n)
-    normest = rand_power_norm_est(qr.r, rng_seed=cfg.rng_seed)
-    condest = cond_est(qr.r)
+    x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     r_prev = b - a @ x0
     _record(trace, a, b, x0, r_prev, truth, cfg.track_be)
 
     def on_iterate(z: np.ndarray) -> None:
         nonlocal r_prev
-        xk = x0 + tri_solve_upper(qr.r, z)
+        xk = x0 + tri_solve_upper(r_fac, z)
         rk = b - a @ xk
         trace.residual_changes.append(float(np.linalg.norm(rk - r_prev)))
         _record(trace, a, b, xk, rk, truth, cfg.track_be)
         r_prev = rk
 
-    x, _ = lsqr(
-        a, b, x0, qr.r, max_iters=cfg.max_iters,
+    x, iters = lsqr(
+        a, b, x0, r_fac, max_iters=cfg.max_iters,
         rtol=cfg.unit_roundoff, callback=on_iterate,
     )
-    trace.stop_reason = "max_iters" if len(trace.iterates) - 1 >= cfg.max_iters else "stopped_by_rule"
+    trace.stop_reason = "max_iters" if iters >= cfg.max_iters else "lsqr_tolerance"
     # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
     # last traced iterate bit for bit
     return SolveResult(solution=x, trace=trace, config=cfg)

@@ -1,13 +1,13 @@
 """Unit tests for subspace embeddings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from itsketch.embed import (
-    GaussianEmbedding,
     _distinct_rows,
     choose_dim,
     default_distortion,
@@ -31,6 +31,26 @@ def _distinct_rows_resort_all(d, m, zeta, rng):
         if not bad.any():
             return idx
         idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
+
+
+def _sparse_sign_reference(d, m, zeta, seed):
+    """CSC arrays of S as built before data was drawn directly as
+    +-scale: (data, indices, indptr)."""
+    rng = np.random.default_rng(seed)
+    rows = _distinct_rows(d, m, zeta, rng)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=(m, zeta))
+    data = (signs * (1.0 / math.sqrt(zeta))).ravel()
+    return data, rows.ravel(), zeta * np.arange(m + 1)
+
+
+class _DenseGaussian:
+    """Dense embedding with iid N(0, 1/d) entries."""
+
+    def __init__(self, d, m, seed):
+        self.mat = np.random.default_rng(seed).standard_normal((d, m)) / math.sqrt(d)
+
+    def apply_dense(self, a):
+        return self.mat @ a
 
 
 class TestSparseSignNew:
@@ -78,6 +98,30 @@ class TestSparseSignNew:
         assert np.shares_memory(s.rows, s.matrix.indices)
         assert not s.rows.flags.writeable
         np.testing.assert_array_equal(s.signs * s.scale, s.matrix.data.reshape(40, 6))
+
+    @pytest.mark.parametrize(
+        "d,m,zeta,seed",
+        [(10, 300, 9, 0), (7, 200, 7, 1), (4, 3, 4, 2), (1, 5, 1, 3), (50, 400, 3, 4),
+         (400, 20000, 8, 5)],
+    )
+    def test_matches_reference_construction(self, d, m, zeta, seed):
+        s = sparse_sign_new(d, m, zeta, seed)
+        data, indices, indptr = _sparse_sign_reference(d, m, zeta, seed)
+        assert np.array_equal(s.matrix.data, data)
+        assert np.array_equal(s.matrix.indices, indices)
+        assert np.array_equal(s.matrix.indptr, indptr)
+
+    def test_build_peak_memory(self):
+        # S keeps 19.1 MiB at this size; building it with a float64 sign
+        # array and its scaled copy alive at once peaked at 45 MiB
+        tracemalloc.start()
+        try:
+            s = sparse_sign_new(3000, 200_000, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.matrix.nnz == 1_600_000
+        assert peak < 40 * 2**20
 
     def test_monte_carlo_isotropy(self):
         # Entrywise average of S'S over 500 seeds approximates the identity.
@@ -194,13 +238,9 @@ class TestFact23Chain:
 
 class TestGaussianEmbedding:
     def test_distortion_reasonable(self):
-        g = GaussianEmbedding(d=600, m=300, seed=0)
+        g = _DenseGaussian(d=600, m=300, seed=0)
         q = householder_qr_econ(np.random.default_rng(1).standard_normal((300, 10))).q
         assert measure_distortion(g, q).epsilon < 0.5
-
-    def test_materialize_deterministic(self):
-        g = GaussianEmbedding(d=20, m=10, seed=3)
-        assert np.array_equal(g.materialize(), g.materialize())
 
 
 class TestChooseDim:

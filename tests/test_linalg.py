@@ -8,10 +8,9 @@ import pytest
 from itsketch.linalg import (
     QrFactors,
     SingularMatrixError,
-    cond_est,
     householder_qr_econ,
     lambert_w0,
-    rand_power_norm_est,
+    qr_solve,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -60,6 +59,46 @@ class TestHouseholderQrEcon:
         assert np.array_equal(q1.q, q2.q) and np.array_equal(q1.r, q2.r)
 
 
+class TestQrSolve:
+    def test_nonnegative_diagonal_on_sign_flipped_input(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((12, 6)), rng.standard_normal(12)
+        x, r = qr_solve(-a, b)
+        assert np.all(np.diag(r) >= 0)
+        assert np.array_equal(r, np.triu(r))
+        x_ref, _ = qr_solve(a, b)
+        np.testing.assert_allclose(x, -x_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("m,n,seed", [(10, 3, 1), (50, 20, 2), (200, 40, 3)])
+    def test_r_matches_householder_qr_econ(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        ref = householder_qr_econ(a).r
+        _, r = qr_solve(a, b)
+        assert np.abs(r - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matches_q_formed_solve(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((300, 15)), rng.standard_normal(300)
+        qr = householder_qr_econ(a)
+        x_ref = tri_solve_upper(qr.r, qr.q.T @ b)
+        x, _ = qr_solve(a, b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_square_system(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        b = rng.standard_normal(6)
+        x, _ = qr_solve(a, b)
+        np.testing.assert_allclose(a @ x, b, rtol=1e-12, atol=1e-12)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            qr_solve(np.ones((3, 5)), np.ones(3))
+        with pytest.raises(ValueError):
+            qr_solve(np.ones(3), np.ones(3))
+
+
 class TestTriangularSolves:
     def test_identity(self):
         c = np.array([3.0, -1.0, 2.0])
@@ -94,7 +133,8 @@ class TestTriangularSolves:
         rng = np.random.default_rng(6)
         for n in (5, 20, 50):
             r = np.triu(rng.standard_normal((n, n))) + (2.0 + n) * np.eye(n)
-            kappa = cond_est(r)
+            sv = svd_values(r)
+            kappa = sv[0] / sv[-1]
             assert kappa <= 1e8
             c = rng.standard_normal(n)
             y = tri_solve_upper(r, c)
@@ -130,47 +170,6 @@ class TestSvdValues:
         sv = svd_values(a)
         for transformed in (ql @ a, a @ qr_, ql @ a @ qr_):
             np.testing.assert_allclose(svd_values(transformed), sv, rtol=1e-10)
-
-
-class TestRandPowerNormEst:
-    def test_identity_exact(self):
-        assert rand_power_norm_est(np.eye(6), rng_seed=0) == 1.0
-
-    def test_upper_bound_with_null_direction(self):
-        est = rand_power_norm_est(np.diag([5.0, 0.0]), steps=1, rng_seed=1)
-        assert 0.0 <= est <= 5.0
-
-    def test_usually_tight(self):
-        rng = np.random.default_rng(12)
-        hits = 0
-        for seed in range(100):
-            r = np.triu(rng.standard_normal((50, 50))) + np.eye(50)
-            sigma_max = svd_values(r)[0]
-            est = rand_power_norm_est(r, steps=6, rng_seed=seed)
-            assert est <= sigma_max * (1 + 1e-12)
-            hits += est >= 0.5 * sigma_max
-        assert hits >= 99
-
-    def test_deterministic(self):
-        r = np.triu(np.random.default_rng(13).standard_normal((20, 20))) + np.eye(20)
-        assert rand_power_norm_est(r, rng_seed=5) == rand_power_norm_est(r, rng_seed=5)
-
-
-class TestCondEst:
-    def test_identity(self):
-        assert cond_est(np.eye(4)) == 1.0
-
-    def test_diagonal(self):
-        assert cond_est(np.diag([1.0, 1e-8])) == pytest.approx(1e8, rel=1e-12)
-
-    def test_matches_svd_ratio(self):
-        r = np.triu(np.random.default_rng(14).standard_normal((9, 9))) + 3 * np.eye(9)
-        sv = svd_values(r)
-        assert cond_est(r) == pytest.approx(sv[0] / sv[-1], rel=1e-10)
-
-    def test_zero_diagonal_raises(self):
-        with pytest.raises(SingularMatrixError):
-            cond_est(np.diag([1.0, 0.0]))
 
 
 class TestLambertW0:

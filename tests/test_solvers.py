@@ -12,6 +12,7 @@ from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
     SingularMatrixError,
     householder_qr_econ,
+    svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
@@ -227,7 +228,7 @@ class TestIterativeSketching:
         cfg = SolverConfig(d=240, max_iters=6, rng_seed=3)
         res = iterative_sketching(p.a, p.b, cfg, p.truth)
         s = sparse_sign_new(cfg.d, 500, cfg.zeta, cfg.rng_seed)
-        r_fac = householder_qr_econ(s.apply_dense(p.a)).r
+        r_fac = sketch_and_solve(p.a, p.b, s)[1]
         tr = res.trace
         for i in range(len(tr.iterates) - 1):
             c = p.a.T @ (p.b - p.a @ tr.iterates[i])
@@ -264,6 +265,20 @@ class TestIterativeSketching:
             res = iterative_sketching(p.a, p.b, cfg, p.truth)
             assert res.trace.stop_reason != "diverged"
             assert res.trace.fe[-1] <= 1e-10
+
+    @pytest.mark.parametrize("solve", ["is", "sp", "bad_residual"])
+    def test_estimates_from_singular_values_of_r(self, solve):
+        p = gen_randsvd(600, 15, 1e6, 1e-4, 5)
+        cfg = SolverConfig(d=300, max_iters=5, rng_seed=5)
+        res = {
+            "is": lambda: iterative_sketching(p.a, p.b, cfg),
+            "sp": lambda: sketch_and_precondition(p.a, p.b, cfg),
+            "bad_residual": lambda: bad_variant(p.a, p.b, cfg, "bad_residual"),
+        }[solve]()
+        r_fac = sketch_and_solve(p.a, p.b, sparse_sign_new(300, 600, 8, 5))[1]
+        sv = svd_values(r_fac)
+        assert res.trace.normest == sv[0]
+        assert res.trace.condest == sv[0] / sv[-1]
 
     def test_config_validation(self):
         p = gen_randsvd(100, 10, 10.0, 0.1, 0)
@@ -351,6 +366,17 @@ class TestSketchAndPrecondition:
         assert len(res.trace.iterates) == res.iterations + 1
         assert len(res.trace.residual_changes) == res.iterations
         assert res.trace.stop_thresholds == []
+
+    def test_stop_reasons(self):
+        # LSQR's own test ends this solve at 21 iterations; the residual-change
+        # rule is never evaluated
+        p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
+        done = sketch_and_precondition(p.a, p.b, SolverConfig(d=1000, max_iters=100))
+        assert done.trace.stop_reason == "lsqr_tolerance"
+        assert done.iterations < 100
+        cut = sketch_and_precondition(p.a, p.b, SolverConfig(d=1000, max_iters=5))
+        assert cut.trace.stop_reason == "max_iters"
+        assert cut.iterations == 5
 
     @pytest.mark.parametrize("beta", [1e-3, 0.0])
     def test_solution_is_last_traced_iterate(self, beta):
