@@ -18,6 +18,7 @@ import numpy as np
 
 from .embed import choose_dim, default_distortion
 from .linalg import qr_solve
+from .metrics import BE_MAX_M, backward_error
 from .problems import (
     CsvParseError,
     KernelConfig,
@@ -73,36 +74,35 @@ def _map_trials(fn, items: list):
         return list(pool.map(fn, items))
 
 
-def _resolve_d(args, n: int, variant: str = "basic") -> int:
-    if args.d == "auto":
-        return choose_dim(args.m, n, args.accuracy, variant)
-    return int(args.d)
-
-
-def _solver_cfg(args, n: int, variant: str | None = None, seed: int | None = None,
+def _solver_cfg(args, m: int, n: int, variant: str | None = None, seed: int | None = None,
                 init: str = "sketch_and_solve") -> SolverConfig:
     variant = variant or args.variant
+    d = choose_dim(m, n, args.accuracy, variant) if args.d == "auto" else int(args.d)
     return SolverConfig(
-        d=_resolve_d(args, n, variant),
+        d=d,
         zeta=args.zeta,
         variant=variant,
         init=init,
         max_iters=args.max_iters,
-        rng_seed=args.seed[0] if seed is None else seed,
-        track_be=(args.metrics == "full"),
+        rng_seed=args.seed if seed is None else seed,
     )
 
 
+def _be(prob, x: np.ndarray) -> float:
+    """Backward error of x, or nan at x = 0, where it is undefined."""
+    return backward_error(prob.a, prob.b, x) if np.any(x) else float("nan")
+
+
 def cmd_solve(args) -> int:
-    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed[0])
-    cfg = _solver_cfg(args, args.n)
+    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed)
+    cfg = _solver_cfg(args, args.m, args.n)
     res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
     save_csv(args.out, ["x"], np.asarray(res.solution)[:, None])
     t = res.trace
     summary_path = args.summary or (args.out + ".summary.csv")
     fe = t.fe[-1] if t.fe else float("nan")
     re = t.re[-1] if t.re else float("nan")
-    be = t.be[-1] if t.be else float("nan")
+    be = _be(prob, res.solution) if args.metrics == "full" else float("nan")
     _write_csv(
         summary_path,
         "iters,stop_reason,fe,re,be",
@@ -111,18 +111,20 @@ def cmd_solve(args) -> int:
     return EXIT_DIVERGED if t.stop_reason == "diverged" else EXIT_OK
 
 
-def _trace_rows(method: str, kappa: float, beta: float, res, bounds=None) -> list[list]:
+def _trace_rows(args, prob, method: str, kappa: float, beta: float, res,
+                bounds=None) -> list[list]:
     t = res.trace
+    be = [_be(prob, x) for x in t.iterates] if args.metrics == "full" else []
     rows = []
     for i in range(len(t.iterates)):
         fe = t.fe[i] if t.fe else float("nan")
         re = t.re[i] if t.re else float("nan")
-        be = t.be[i] if i < len(t.be) else float("nan")
+        be_i = be[i] if be else float("nan")
         chg = t.residual_changes[i - 1] if i >= 1 else float("nan")
         bf, br = (float("nan"), float("nan"))
         if bounds is not None and i < len(bounds[0]):
             bf, br = float(bounds[0][i]), float(bounds[1][i])
-        rows.append([method, kappa, beta, i, fe, re, be, chg, bf, br])
+        rows.append([method, kappa, beta, i, fe, re, be_i, chg, bf, br])
     return rows
 
 
@@ -132,7 +134,7 @@ def cmd_convergence(args) -> int:
     def one(task):
         kappa, beta, seed = task
         prob = gen_randsvd(args.m, args.n, kappa, beta, seed)
-        cfg = _solver_cfg(args, args.n, seed=seed)
+        cfg = _solver_cfg(args, args.m, args.n, seed=seed)
         res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
         eps = default_distortion(args.n, cfg.d)
         bounds = None
@@ -143,16 +145,12 @@ def cmd_convergence(args) -> int:
             # bounds are absolute; traces are relative
             bounds = (bounds[0] / np.linalg.norm(prob.truth.x),
                       bounds[1] / max(prob.truth.beta, np.finfo(float).tiny))
-        out = _trace_rows(f"is_{args.variant}", kappa, beta, res, bounds)
+        out = _trace_rows(args, prob, f"is_{args.variant}", kappa, beta, res, bounds)
         xqr = qr_solve(prob.a, prob.b)[0]
         fe = float(np.linalg.norm(prob.truth.x - xqr))
         rqr = prob.b - prob.a @ xqr
         re = float(np.linalg.norm(prob.truth.r - rqr) / max(prob.truth.beta, np.finfo(float).tiny))
-        be = float("nan")
-        if args.metrics == "full":
-            from .metrics import backward_error
-
-            be = backward_error(prob.a, prob.b, xqr)
+        be = _be(prob, xqr) if args.metrics == "full" else float("nan")
         out.append(["householder_qr", kappa, beta, -1, fe, re, be,
                     float("nan"), float("nan"), float("nan")])
         return out
@@ -165,29 +163,29 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_bad(args) -> int:
-    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed[0])
+    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed)
     rows: list[list] = []
-    cfg = _solver_cfg(args, args.n)
+    cfg = _solver_cfg(args, args.m, args.n)
     stable = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
-    rows += _trace_rows("stable", args.cond, args.resnorm, stable)
+    rows += _trace_rows(args, prob, "stable", args.cond, args.resnorm, stable)
     for kind in ("bad_matrix", "bad_residual", "bad_init"):
         res = bad_variant(prob.a, prob.b, cfg, kind, prob.truth)
-        rows += _trace_rows(kind, args.cond, args.resnorm, res)
+        rows += _trace_rows(args, prob, kind, args.cond, args.resnorm, res)
     _write_csv(args.out, "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re", rows)
     return EXIT_OK  # divergence of the bad baselines is the expected result
 
 
 def cmd_compare(args) -> int:
-    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed[0])
+    prob = gen_randsvd(args.m, args.n, args.cond, args.resnorm, args.seed)
     rows: list[list] = []
     for variant in ("basic", "damped", "momentum"):
-        cfg = _solver_cfg(args, args.n, variant=variant)
+        cfg = _solver_cfg(args, args.m, args.n, variant=variant)
         res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
-        rows += _trace_rows(f"is_{variant}", args.cond, args.resnorm, res)
+        rows += _trace_rows(args, prob, f"is_{variant}", args.cond, args.resnorm, res)
     for init in ("zero", "sketch_and_solve"):
-        cfg = _solver_cfg(args, args.n, variant="basic", init=init)
+        cfg = _solver_cfg(args, args.m, args.n, variant="basic", init=init)
         res = sketch_and_precondition(prob.a, prob.b, cfg, prob.truth)
-        rows += _trace_rows(f"sp_{init}", args.cond, args.resnorm, res)
+        rows += _trace_rows(args, prob, f"sp_{init}", args.cond, args.resnorm, res)
     _write_csv(args.out, "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re", rows)
     return EXIT_OK
 
@@ -214,22 +212,15 @@ def _synthetic_mixture_csv(path: str, rows: int, seed: int) -> None:
 def cmd_kernel(args) -> int:
     if args.data is None:
         data_path = args.out + ".data.csv"
-        _synthetic_mixture_csv(data_path, args.synthetic_rows, args.seed[0])
+        _synthetic_mixture_csv(data_path, args.synthetic_rows, args.seed)
     else:
         data_path = args.data
     points, targets = load_csv(data_path, args.target)
     rows = []
     for n in args.centers:
-        kc = KernelConfig(bandwidth=args.bandwidth, subset_size=n, seed=args.seed[0])
+        kc = KernelConfig(bandwidth=args.bandwidth, subset_size=n, seed=args.seed)
         prob = kernel_problem(points, targets, kc)
-        if args.d == "auto":
-            d = choose_dim(points.shape[0], n, args.accuracy, args.variant)
-        else:
-            d = int(args.d)
-        cfg = SolverConfig(
-            d=d, zeta=args.zeta, variant=args.variant,
-            max_iters=args.max_iters, rng_seed=args.seed[0],
-        )
+        cfg = _solver_cfg(args, points.shape[0], n)
         times_is, times_qr = [], []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
@@ -251,10 +242,9 @@ def cmd_kernel(args) -> int:
 def cmd_sparsebench(args) -> int:
     rows = []
     for m in args.rows:
-        prob = gen_sparse(m, args.n, args.seed[0])
+        prob = gen_sparse(m, args.n, args.seed)
         d = 30 * args.n if args.d == "auto" else int(args.d)
-        cfg = SolverConfig(d=d, zeta=args.zeta, max_iters=args.max_iters,
-                           rng_seed=args.seed[0])
+        cfg = SolverConfig(d=d, zeta=args.zeta, max_iters=args.max_iters, rng_seed=args.seed)
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
@@ -274,15 +264,26 @@ def _add_problem_flags(p: _Parser, need_cond: bool = True) -> None:
         p.add_argument("--resnorm", type=float, required=True)
 
 
-def _add_solver_flags(p: _Parser) -> None:
+def _add_solver_flags(p: _Parser, variant: bool = True, accuracy: bool = True,
+                      metrics: bool = True, seeds: bool = False) -> None:
+    """The solver flags a command reads: --variant, --accuracy and --metrics
+    only where it reads them, and several --seed values only where it
+    runs one trial per seed."""
     p.add_argument("--d", default="auto", help='embedding dimension or "auto"')
     p.add_argument("--zeta", type=int, default=8)
-    p.add_argument("--variant", choices=["basic", "damped", "momentum"], default="basic")
+    if variant:
+        p.add_argument("--variant", choices=["basic", "damped", "momentum"], default="basic")
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, nargs="+", default=[0])
-    p.add_argument("--accuracy", type=float, default=2.0**-53,
-                   help="accuracy level fed to the dimension formula when --d auto")
-    p.add_argument("--metrics", choices=["cheap", "full"], default="cheap")
+    if seeds:
+        p.add_argument("--seed", type=int, nargs="+", default=[0])
+    else:
+        p.add_argument("--seed", type=int, default=0)
+    if accuracy:
+        p.add_argument("--accuracy", type=float, default=2.0**-53,
+                       help="accuracy level fed to the dimension formula when --d auto")
+    if metrics:
+        p.add_argument("--metrics", choices=["cheap", "full"], default="cheap",
+                       help=f"full adds the backward error of each iterate; needs --m <= {BE_MAX_M}")
     p.add_argument("--out", required=True)
 
 
@@ -301,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cond", type=float, nargs="+", required=True)
     p.add_argument("--resnorm", type=float, nargs="+", required=True)
-    _add_solver_flags(p)
+    _add_solver_flags(p, seeds=True)
     p.set_defaults(fn=cmd_convergence)
 
     p = sub.add_parser("bad", help="stable implementation vs the three bad baselines")
@@ -311,7 +312,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="iterative sketching variants vs sketch-and-precondition")
     _add_problem_flags(p)
-    _add_solver_flags(p)
+    _add_solver_flags(p, variant=False)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("dims", help="embedding-dimension table")
@@ -328,14 +329,14 @@ def build_parser() -> _Parser:
     p.add_argument("--bandwidth", type=float, default=4.0)
     p.add_argument("--centers", type=int, nargs="+", default=[50])
     p.add_argument("--repeats", type=int, default=3)
-    _add_solver_flags(p)
+    _add_solver_flags(p, metrics=False)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("sparsebench", help="sparse problem timing scan")
     p.add_argument("--rows", type=int, nargs="+", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--repeats", type=int, default=3)
-    _add_solver_flags(p)
+    _add_solver_flags(p, variant=False, accuracy=False, metrics=False)
     p.set_defaults(fn=cmd_sparsebench)
 
     return parser
@@ -344,6 +345,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "metrics", "cheap") == "full" and args.m > BE_MAX_M:
+        parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: "
+                                f"--metrics full needs --m <= {BE_MAX_M}, got {args.m}\n")
     try:
         return args.fn(args)
     except CsvParseError as exc:

@@ -34,16 +34,8 @@ def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
     return float(np.linalg.norm(r_true - np.asarray(r_hat, dtype=float)) / nr)
 
 
-def residual_error_or_degenerate(
-    r_true: np.ndarray, r_hat: np.ndarray, b: np.ndarray
-) -> tuple[float, bool]:
-    """residual_error, but consistent systems (||r(x)|| = 0) report
-    ||r_hat|| / ||b|| with a degenerate-case flag instead of dividing by zero."""
-    if np.linalg.norm(r_true) == 0.0:
-        nb = np.linalg.norm(b)
-        return float(np.linalg.norm(r_hat) / nb) if nb > 0 else 0.0, True
-    return residual_error(r_true, r_hat), False
-
+# Largest row count backward_error accepts by default.
+BE_MAX_M = 4000
 
 # Above this row count the m x (n+m) augmented SVD is replaced by an
 # algebraically equivalent small SVD (see _wks_sigma_min_fast).
@@ -85,7 +77,7 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
 
 
 def backward_error(
-    a: np.ndarray, b: np.ndarray, x_hat: np.ndarray, max_m: int = 4000
+    a: np.ndarray, b: np.ndarray, x_hat: np.ndarray, max_m: int = BE_MAX_M
 ) -> float:
     """Optimal relative Frobenius backward error of x_hat: the smallest
     ||dA||_F / ||A||_F such that x_hat exactly minimizes ||b - (A+dA)y||.

@@ -26,6 +26,12 @@ from .linalg import (
 from .problems import Truth
 
 
+# unit roundoff of float64 and the stopping rule's weights gamma and rho
+U = 2.0**-53
+STOP_GAMMA = 1.0
+STOP_RHO = 0.04
+
+
 class RateHypothesisError(ValueError):
     """A convergence-rate formula was evaluated outside its hypothesis."""
 
@@ -37,13 +43,8 @@ class SolverConfig:
     variant: str = "basic"  # basic | damped | momentum
     init: str = "sketch_and_solve"  # sketch_and_solve | zero
     max_iters: int = 50
-    unit_roundoff: float = 2.0**-53
-    stop_gamma: float = 1.0
-    stop_rho: float = 0.04
-    epsilon_for_params: float | None = None  # defaults to sqrt(n/d)
     rng_seed: int = 0
     extra_iters: int = 0  # iterations to run after the stopping rule fires
-    track_be: bool = False  # backward error is expensive; opt in
 
     def validate(self, n: int) -> None:
         if self.d < n:
@@ -52,8 +53,6 @@ class SolverConfig:
             raise ValueError("zeta must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not 0 < self.unit_roundoff < 1:
-            raise ValueError("unit_roundoff must be in (0, 1)")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.init not in ("sketch_and_solve", "zero"):
@@ -76,7 +75,6 @@ class SolveTrace:
     stop_thresholds: list[float] = field(default_factory=list)
     fe: list[float] = field(default_factory=list)
     re: list[float] = field(default_factory=list)
-    be: list[float] = field(default_factory=list)
     stop_reason: str = "max_iters"  # stopped_by_rule | max_iters | diverged | lsqr_tolerance
     normest: float = 0.0  # sigma_max of the sketch's R factor
     condest: float = 0.0  # sigma_max / sigma_min of the sketch's R factor
@@ -86,7 +84,6 @@ class SolveTrace:
 class SolveResult:
     solution: np.ndarray
     trace: SolveTrace
-    config: SolverConfig
 
     @property
     def iterations(self) -> int:
@@ -186,8 +183,8 @@ def should_stop(
     normest: float,
     condest: float,
     u: float,
-    gamma: float = 1.0,
-    rho: float = 0.04,
+    gamma: float = STOP_GAMMA,
+    rho: float = STOP_RHO,
 ) -> bool:
     """Residual-change stopping rule (inclusive comparison):
     ||r_{i+1} - r_i|| <= u * (gamma*normest*||x_{i+1}|| + rho*condest*||r_{i+1}||).
@@ -266,8 +263,7 @@ class _DivergenceGuard:
 
 
 def _record(
-    trace: SolveTrace, a, b, x: np.ndarray, r: np.ndarray, truth: Truth | None,
-    track_be: bool,
+    trace: SolveTrace, b: np.ndarray, x: np.ndarray, r: np.ndarray, truth: Truth | None
 ) -> None:
     trace.iterates.append(x)
     if truth is not None:
@@ -276,18 +272,12 @@ def _record(
             trace.re.append(float(np.linalg.norm(truth.r - r) / truth.beta))
         else:
             trace.re.append(float(np.linalg.norm(r) / np.linalg.norm(b)))
-        if track_be:
-            from .metrics import backward_error
-
-            trace.be.append(backward_error(np.asarray(a.todense()) if sp.issparse(a) else a, b, x))
 
 
 def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float]:
     if cfg.variant == "basic":
         return 1.0, 0.0
-    eps = cfg.epsilon_for_params
-    if eps is None:
-        eps = default_distortion(n, cfg.d)
+    eps = default_distortion(n, cfg.d)
     if cfg.variant == "damped":
         return damping_params(eps)
     return momentum_params(eps)
@@ -314,7 +304,7 @@ def _run_refinement(
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = b - a @ x
-    _record(trace, a, b, x, r, truth, cfg.track_be)
+    _record(trace, b, x, r, truth)
     remaining_extra: int | None = None
     for _ in range(cfg.max_iters):
         d = solve_step(rhs(x, r))
@@ -326,26 +316,25 @@ def _run_refinement(
         change = float(np.linalg.norm(r_next - r))
         resnorm = float(np.linalg.norm(r_next))
         threshold = _stop_threshold(
-            float(np.linalg.norm(x_next)), resnorm, normest, condest,
-            cfg.unit_roundoff, cfg.stop_gamma, cfg.stop_rho,
+            float(np.linalg.norm(x_next)), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
         )
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
         if guard.diverged(resnorm, x_next):
-            _record(trace, a, b, x_next, r_next, truth, cfg.track_be)
+            _record(trace, b, x_next, r_next, truth)
             trace.stop_reason = "diverged"
-            return SolveResult(solution=x_next, trace=trace, config=cfg)
+            return SolveResult(solution=x_next, trace=trace)
         x_prev, x, r = x, x_next, r_next
-        _record(trace, a, b, x, r, truth, cfg.track_be)
+        _record(trace, b, x, r, truth)
         if remaining_extra is None and change <= threshold:
             remaining_extra = cfg.extra_iters
         if remaining_extra is not None:
             if remaining_extra == 0:
                 trace.stop_reason = "stopped_by_rule"
-                return SolveResult(solution=x, trace=trace, config=cfg)
+                return SolveResult(solution=x, trace=trace)
             remaining_extra -= 1
     trace.stop_reason = "max_iters"
-    return SolveResult(solution=x, trace=trace, config=cfg)
+    return SolveResult(solution=x, trace=trace)
 
 
 def _normal_step(r_fac: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -512,21 +501,21 @@ def sketch_and_precondition(
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     r_prev = b - a @ x0
-    _record(trace, a, b, x0, r_prev, truth, cfg.track_be)
+    _record(trace, b, x0, r_prev, truth)
 
     def on_iterate(z: np.ndarray) -> None:
         nonlocal r_prev
         xk = x0 + tri_solve_upper(r_fac, z)
         rk = b - a @ xk
         trace.residual_changes.append(float(np.linalg.norm(rk - r_prev)))
-        _record(trace, a, b, xk, rk, truth, cfg.track_be)
+        _record(trace, b, xk, rk, truth)
         r_prev = rk
 
     x, iters = lsqr(
         a, b, x0, r_fac, max_iters=cfg.max_iters,
-        rtol=cfg.unit_roundoff, callback=on_iterate,
+        rtol=U, callback=on_iterate,
     )
     trace.stop_reason = "max_iters" if iters >= cfg.max_iters else "lsqr_tolerance"
     # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
     # last traced iterate bit for bit
-    return SolveResult(solution=x, trace=trace, config=cfg)
+    return SolveResult(solution=x, trace=trace)

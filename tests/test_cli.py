@@ -8,12 +8,53 @@ import pytest
 
 from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, main
 from itsketch.embed import choose_dim
+from itsketch.metrics import backward_error
+from itsketch.problems import gen_randsvd
 
 CONV_HEADER = "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re"
+PROBLEM = ["--m", "400", "--n", "15", "--cond", "1e4", "--resnorm", "1e-4"]
 
 
 def run(argv):
     return main(argv)
+
+
+def assert_be_nan_only_at(path, zero_starts):
+    """be is nan on the (method, iter) rows whose iterate is x = 0 and
+    finite on every other row."""
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[2:]]
+    nan_rows = {(r[0], r[3]) for r in rows if math.isnan(float(r[6]))}
+    assert nan_rows == zero_starts
+    assert all(math.isfinite(float(r[6])) for r in rows if (r[0], r[3]) not in zero_starts)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--metrics", "full"],
+        ["sparsebench", "--rows", "100", "--n", "5", "--metrics", "full"],
+        ["sparsebench", "--rows", "100", "--n", "5", "--variant", "momentum"],
+        ["sparsebench", "--rows", "100", "--n", "5", "--accuracy", "1e-8"],
+        ["compare", *PROBLEM, "--variant", "damped"],
+        ["solve", *PROBLEM, "--seed", "0", "1"],
+    ])
+    def test_flag_the_command_does_not_read_exits_64(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "convergence", "bad", "compare"])
+    def test_metrics_full_over_be_cap_exits_64(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--m", "4001", "--n", "5", "--cond", "10", "--resnorm", "1e-3",
+                 "--metrics", "full", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--m <= 4000" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -45,6 +86,18 @@ class TestSolve:
             ]) == EXIT_OK
             outs.append(out.read_bytes() + (tmp_path / (name + ".summary.csv")).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_metrics_full_be_of_solution(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run([
+            "solve", "--m", "400", "--n", "20", "--cond", "1e4",
+            "--resnorm", "1e-6", "--seed", "7", "--metrics", "full", "--out", str(out),
+        ]) == EXIT_OK
+        x = np.array([float(v) for v in out.read_text().splitlines()[1:]])
+        summary = (tmp_path / "x.csv.summary.csv").read_text().splitlines()
+        be = float(summary[2].split(",")[4])
+        prob = gen_randsvd(400, 20, 1e4, 1e-6, 7)
+        assert be == backward_error(prob.a, prob.b, x)
 
 
 class TestConvergence:
@@ -105,6 +158,16 @@ class TestBad:
         methods = {ln.split(",")[0] for ln in lines[2:]}
         assert methods == {"stable", "bad_matrix", "bad_residual", "bad_init"}
 
+    def test_metrics_full_nan_at_zero_start(self, tmp_path):
+        out = tmp_path / "bad.csv"
+        code = run([
+            "bad", "--m", "500", "--n", "20", "--cond", "1e8",
+            "--resnorm", "1e-4", "--seed", "0", "--max-iters", "25",
+            "--metrics", "full", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert_be_nan_only_at(out, {("bad_init", "0")})
+
 
 class TestCompare:
     def test_methods_present(self, tmp_path):
@@ -119,6 +182,15 @@ class TestCompare:
         assert methods == {
             "is_basic", "is_damped", "is_momentum", "sp_zero", "sp_sketch_and_solve",
         }
+
+    def test_metrics_full_nan_at_zero_start(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        code = run([
+            "compare", *PROBLEM, "--seed", "0", "--max-iters", "20",
+            "--metrics", "full", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert_be_nan_only_at(out, {("sp_zero", "0")})
 
 
 class TestDims:

@@ -10,7 +10,6 @@ from itsketch.metrics import (
     backward_error,
     forward_error,
     residual_error,
-    residual_error_or_degenerate,
     wedin_bounds,
 )
 from itsketch.problems import gen_randsvd
@@ -46,16 +45,6 @@ class TestResidualError:
     def test_zero_truth_raises(self):
         with pytest.raises(ValueError):
             residual_error(np.zeros(2), np.ones(2))
-
-    def test_degenerate_helper(self):
-        b = np.array([2.0, 0.0])
-        val, flag = residual_error_or_degenerate(np.zeros(2), np.array([1.0, 0.0]), b)
-        assert flag is True
-        assert val == pytest.approx(0.5)
-        val2, flag2 = residual_error_or_degenerate(
-            np.array([0.0, 1.0]), np.array([1.0, 1.0]), b
-        )
-        assert flag2 is False and val2 == pytest.approx(1.0)
 
     def test_orthogonal_increment_norm_relation(self):
         # When the true residual is orthogonal to the column space, the

@@ -18,6 +18,8 @@ from itsketch.linalg import (
 )
 from itsketch.problems import gen_randsvd, gen_sparse
 from itsketch.solvers import (
+    STOP_GAMMA,
+    STOP_RHO,
     RateHypothesisError,
     SolverConfig,
     bad_variant,
@@ -463,8 +465,8 @@ class TestTraceMemory:
             x_next, x_curr = tr.iterates[i + 1], tr.iterates[i]
             r_next = p.b - p.a @ x_next
             expect = U * (
-                cfg.stop_gamma * tr.normest * np.linalg.norm(x_next)
-                + cfg.stop_rho * tr.condest * np.linalg.norm(r_next)
+                STOP_GAMMA * tr.normest * np.linalg.norm(x_next)
+                + STOP_RHO * tr.condest * np.linalg.norm(r_next)
             )
             assert threshold == float(expect)
             assert fired[i] == should_stop(
