@@ -84,6 +84,7 @@ class SolveTrace:
 class SolveResult:
     solution: np.ndarray
     trace: SolveTrace
+    config: SolverConfig
 
     @property
     def iterations(self) -> int:
@@ -323,7 +324,7 @@ def _run_refinement(
         if guard.diverged(resnorm, x_next):
             _record(trace, b, x_next, r_next, truth)
             trace.stop_reason = "diverged"
-            return SolveResult(solution=x_next, trace=trace)
+            return SolveResult(solution=x_next, trace=trace, config=cfg)
         x_prev, x, r = x, x_next, r_next
         _record(trace, b, x, r, truth)
         if remaining_extra is None and change <= threshold:
@@ -331,10 +332,10 @@ def _run_refinement(
         if remaining_extra is not None:
             if remaining_extra == 0:
                 trace.stop_reason = "stopped_by_rule"
-                return SolveResult(solution=x, trace=trace)
+                return SolveResult(solution=x, trace=trace, config=cfg)
             remaining_extra -= 1
     trace.stop_reason = "max_iters"
-    return SolveResult(solution=x, trace=trace)
+    return SolveResult(solution=x, trace=trace, config=cfg)
 
 
 def _normal_step(r_fac: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -518,4 +519,4 @@ def sketch_and_precondition(
     trace.stop_reason = "max_iters" if iters >= cfg.max_iters else "lsqr_tolerance"
     # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
     # last traced iterate bit for bit
-    return SolveResult(solution=x, trace=trace)
+    return SolveResult(solution=x, trace=trace, config=cfg)
