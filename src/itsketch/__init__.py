@@ -6,8 +6,6 @@ Dense linear-algebra kernels, sparse sign embeddings, iterative sketching
 """
 
 from .linalg import (
-    QrFactors,
-    householder_qr_econ,
     lambert_w0,
     qr_solve,
     svd_values,
@@ -46,8 +44,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "QrFactors",
-    "householder_qr_econ",
     "qr_solve",
     "tri_solve_upper",
     "tri_solve_upper_transpose",

@@ -89,8 +89,8 @@ def _solver_cfg(args, m: int, n: int, variant: str | None = None, seed: int | No
 
 
 def _be(prob, x: np.ndarray) -> float:
-    """Backward error of x, or nan at x = 0, where it is undefined."""
-    return backward_error(prob.a, prob.b, x) if np.any(x) else float("nan")
+    """Backward error of x, or nan where it is undefined: x = 0 or a non-finite ||x||."""
+    return backward_error(prob.a, prob.b, x) if 0 < np.linalg.norm(x) < math.inf else float("nan")
 
 
 def cmd_solve(args) -> int:
@@ -256,12 +256,11 @@ def cmd_sparsebench(args) -> int:
     return EXIT_OK
 
 
-def _add_problem_flags(p: _Parser, need_cond: bool = True) -> None:
+def _add_problem_flags(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    if need_cond:
-        p.add_argument("--cond", type=float, required=True)
-        p.add_argument("--resnorm", type=float, required=True)
+    p.add_argument("--cond", type=float, required=True)
+    p.add_argument("--resnorm", type=float, required=True)
 
 
 def _add_solver_flags(p: _Parser, variant: bool = True, accuracy: bool = True,
@@ -269,7 +268,7 @@ def _add_solver_flags(p: _Parser, variant: bool = True, accuracy: bool = True,
     """The solver flags a command reads: --variant, --accuracy and --metrics
     only where it reads them, and several --seed values only where it
     runs one trial per seed."""
-    p.add_argument("--d", default="auto", help='embedding dimension or "auto"')
+    p.add_argument("--d", default="auto", help='embedding dimension (an integer >= n) or "auto"')
     p.add_argument("--zeta", type=int, default=8)
     if variant:
         p.add_argument("--variant", choices=["basic", "damped", "momentum"], default="basic")
@@ -348,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "metrics", "cheap") == "full" and args.m > BE_MAX_M:
         parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: "
                                 f"--metrics full needs --m <= {BE_MAX_M}, got {args.m}\n")
+    d, n = getattr(args, "d", "auto"), max(args.centers) if args.command == "kernel" else args.n
+    if d != "auto" and not (d.isdigit() and int(d) >= max(n, 1)):
+        parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: "
+                                f'--d must be "auto" or an integer >= n = {n}, got {d!r}\n')
     try:
         return args.fn(args)
     except CsvParseError as exc:

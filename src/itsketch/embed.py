@@ -50,51 +50,26 @@ def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.nd
 
 @dataclass(frozen=True)
 class SparseSignEmbedding:
-    """Sparse sign embedding S of shape (d, m) with zeta nonzeros per column."""
+    """Sparse sign embedding S (d x m, zeta nonzeros per column), held once as a CSC matrix."""
 
     d: int
     m: int
     zeta: int
     scale: float
-    _mat: sp.csc_matrix = field(repr=False, compare=False, default=None)
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        """Column-compressed sparse representation of S."""
-        return self._mat
-
-    @property
-    def rows(self) -> np.ndarray:
-        """(m, zeta) distinct row indices per column: a read-only view of the
-        CSC indices."""
-        rows = self._mat.indices.reshape(self.m, self.zeta)
-        rows.flags.writeable = False
-        return rows
-
-    @property
-    def signs(self) -> np.ndarray:
-        """(m, zeta) values +-1, computed from the CSC data."""
-        return np.sign(self._mat.data).reshape(self.m, self.zeta)
+    matrix: sp.csc_matrix = field(repr=False, compare=False)
 
     def apply_dense(self, a: np.ndarray) -> np.ndarray:
         """S @ a for a dense m x n matrix (or length-m vector)."""
         a = np.asarray(a, dtype=float)
         if a.shape[0] != self.m:
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
-        return self._mat @ a
-
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        """S @ v for a length-m vector."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("apply_vec expects a vector")
-        return self.apply_dense(v)
+        return self.matrix @ a
 
     def apply_sparse(self, a: sp.spmatrix) -> np.ndarray:
         """S @ a for a sparse m x n matrix, returned dense (d is small)."""
         if a.shape[0] != self.m:
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
-        return np.asarray((self._mat @ a.tocsc()).todense())
+        return np.asarray((self.matrix @ a.tocsc()).todense())
 
 
 def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbedding:
@@ -109,7 +84,7 @@ def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbed
     data = rng.choice(np.array([-scale, scale]), size=m * zeta)
     indptr = zeta * np.arange(m + 1)
     mat = sp.csc_matrix((data, indices, indptr), shape=(d, m))
-    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=scale, _mat=mat)
+    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=scale, matrix=mat)
 
 
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:

@@ -85,6 +85,7 @@ def backward_error(
     Only A is perturbed. Computed from the exact minimal-perturbation
     characterization: with nu = ||r_hat|| / ||x_hat||,
     BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F.
+    A zero or non-finite x_hat, or an overflowing norm or nu, raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -93,13 +94,15 @@ def backward_error(
     if m > max_m:
         raise ValueError(f"backward_error capped at m <= {max_m}, got m = {m}")
     nx = np.linalg.norm(x_hat)
-    if nx == 0.0:
-        raise ValueError("backward_error requires x_hat != 0")
+    if not 0.0 < nx < np.inf:
+        raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
     r_hat = b - a @ x_hat
     nr = np.linalg.norm(r_hat)
     if nr == 0.0:
         return 0.0
     nu = nr / nx
+    if not np.isfinite(nu):
+        raise ValueError(f"backward_error requires a finite ||r_hat|| / ||x_hat||, got {nu}")
     if m <= _BE_DIRECT_MAX_M:
         q = r_hat / nr
         aug = np.column_stack([a, nu * (np.eye(m) - np.outer(q, q))])

@@ -30,10 +30,6 @@ class LsProblem:
     b: np.ndarray
     truth: Truth | None = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
 
 @dataclass
 class KernelConfig:
@@ -42,15 +38,9 @@ class KernelConfig:
     seed: int = 0
 
 
-def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed k x k orthogonal matrix: QR of a Gaussian matrix
-    with the R-diagonal sign correction (required for Haar measure)."""
-    return _haar_stiefel(k, k, rng)
-
-
 def _haar_stiefel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """First n columns of a Haar m x m orthogonal matrix, sampled directly
-    as the sign-corrected QR of an m x n Gaussian matrix."""
+    """First n columns of a Haar m x m orthogonal matrix: the QR of an m x n
+    Gaussian matrix with the R-diagonal sign correction Haar measure needs."""
     g = rng.standard_normal((m, n))
     q, r = np.linalg.qr(g, mode="reduced")
     signs = np.sign(np.diag(r))
@@ -70,7 +60,7 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
         raise ValueError(f"need beta >= 0, got {beta}")
     rng = np.random.default_rng(seed)
     u1 = _haar_stiefel(m, n, rng)
-    v = haar_orthogonal(n, rng)
+    v = _haar_stiefel(n, n, rng)
     sigma = kappa ** (-np.arange(n) / (n - 1))
     a = (u1 * sigma) @ v.T
     w = rng.standard_normal(n)

@@ -23,6 +23,7 @@ from .linalg import (
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
+from .metrics import forward_error
 from .problems import Truth
 
 
@@ -205,8 +206,22 @@ def _stop_threshold(
     return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
 
 
-def _sketch_matrix(s: SparseSignEmbedding, a) -> np.ndarray:
-    return s.apply_sparse(a) if sp.issparse(a) else s.apply_dense(a)
+def _as_rhs(a, b) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")
+    return b
+
+
+def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """(SA, Sb), or a ValueError naming A or b if it holds a NaN or inf: each
+    reaches the d-row sketch, so no m-row temporary is scanned."""
+    sa = s.apply_sparse(a) if sp.issparse(a) else s.apply_dense(a)
+    sb = s.apply_dense(b)
+    for name, sketched in (("A", sa), ("b", sb)):
+        if not np.isfinite(sketched).all():
+            raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
+    return sa, sb
 
 
 def sketch_and_solve(
@@ -215,9 +230,10 @@ def sketch_and_solve(
     """Solve the sketched problem min ||Sb - (SA)y|| by Householder QR.
 
     Returns the solution and the R factor of SA for reuse by the iteration.
-    An exactly singular R raises SingularMatrixError.
+    A wrong-length b or a non-finite A or b raises ValueError; a singular R,
+    SingularMatrixError.
     """
-    return qr_solve(_sketch_matrix(s, a), s.apply_vec(np.asarray(b, dtype=float)))
+    return qr_solve(*_sketch(a, _as_rhs(a, b), s))
 
 
 def _sketch_factor(
@@ -268,7 +284,8 @@ def _record(
 ) -> None:
     trace.iterates.append(x)
     if truth is not None:
-        trace.fe.append(float(np.linalg.norm(truth.x - x) / np.linalg.norm(truth.x)))
+        trace.fe.append(forward_error(truth.x, x))
+        # RE divides by the planted beta, not by ||truth.r|| (equal only up to rounding)
         if truth.beta > 0:
             trace.re.append(float(np.linalg.norm(truth.r - r) / truth.beta))
         else:
@@ -358,7 +375,7 @@ def iterative_sketching(
     """Iterative refinement on the normal equations preconditioned by
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
-    b = np.asarray(b, dtype=float)
+    b = _as_rhs(a, b)
 
     def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return a.T @ r
@@ -377,7 +394,7 @@ def bad_variant(
     iteration started from zero. Divergence is a reportable outcome, not an
     error.
     """
-    b = np.asarray(b, dtype=float)
+    b = _as_rhs(a, b)
 
     if kind == "bad_init":
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
@@ -394,7 +411,7 @@ def bad_variant(
         m, n = a.shape
         cfg.validate(n)
         s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
-        sa = _sketch_matrix(s, a)
+        sa, sb = _sketch(a, b, s)
         gram = sa.T @ sa
         try:
             solve_step = partial(_normal_step, np.linalg.cholesky(gram).T)
@@ -404,7 +421,6 @@ def bad_variant(
             def solve_step(c: np.ndarray) -> np.ndarray:
                 return scipy.linalg.lu_solve(lu_piv, c)
 
-        sb = s.apply_vec(b)
         x0 = solve_step(sa.T @ sb)
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
         gram_sv = svd_values(gram)
@@ -498,7 +514,7 @@ def sketch_and_precondition(
 ) -> SolveResult:
     """Sketch, QR-factorize the sketch, then run LSQR on A right-preconditioned
     by the R factor, starting from the sketch-and-solve or zero iterate."""
-    b = np.asarray(b, dtype=float)
+    b = _as_rhs(a, b)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     r_prev = b - a @ x0

@@ -21,7 +21,7 @@ import pytest
 from scipy.optimize import minimize
 
 from itsketch.embed import measure_distortion, sparse_sign_new
-from itsketch.linalg import householder_qr_econ, svd_values, tri_solve_upper
+from itsketch.linalg import svd_values, tri_solve_upper
 from itsketch.metrics import backward_error, wedin_bounds
 from itsketch.problems import gen_randsvd, gen_sparse
 from itsketch.solvers import (
@@ -36,6 +36,7 @@ from itsketch.solvers import (
     sketch_and_solve,
     theoretical_bound_curve,
 )
+from reference import householder_qr_econ
 
 U = 2.0**-53
 SEEDS = (0, 1, 2)
@@ -337,6 +338,7 @@ def _be_family_values(a, b, x_hat, qs):
     return np.sqrt(((atil - a[None]) ** 2).sum(axis=(1, 2)))
 
 
+@pytest.mark.slow
 def test_criterion_11_backward_error_oracle():
     rng = np.random.default_rng(0)
     upper_viol, cert_viol = 0, 0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, main
+from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, main
 from itsketch.embed import choose_dim
 from itsketch.metrics import backward_error
 from itsketch.problems import gen_randsvd
@@ -56,6 +56,30 @@ class TestFlags:
         assert "--m <= 4000" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", *PROBLEM, "--d", "abc"],
+        ["solve", "--m", "400", "--n", "50", "--cond", "1e4", "--resnorm", "1e-4", "--d", "30"],
+        ["kernel", "--centers", "60", "--d", "30"],
+        ["sparsebench", "--rows", "100", "--n", "10", "--d", "5"],
+        ["convergence", "--m", "400", "--n", "15", "--cond", "10", "--resnorm", "1e-3",
+         "--d", "-20"],
+    ], ids=["not-an-int", "solve-d-below-n", "kernel-d-below-centers",
+            "sparsebench-d-below-n", "negative"])
+    def test_bad_d_exits_64(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert '--d must be "auto" or an integer >= n' in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_d_equal_to_n_accepted(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert run(["solve", *PROBLEM, "--d", "15", "--max-iters", "3", "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
 
 class TestSolve:
     def test_smoke(self, tmp_path):
@@ -98,6 +122,13 @@ class TestSolve:
         be = float(summary[2].split(",")[4])
         prob = gen_randsvd(400, 20, 1e4, 1e-6, 7)
         assert be == backward_error(prob.a, prob.b, x)
+
+
+def test_be_nan_at_non_finite_iterate():
+    prob = gen_randsvd(60, 4, 10.0, 1e-3, 0)
+    for x in (np.full(4, np.nan), np.full(4, np.inf), np.full(4, 1e300), np.zeros(4)):
+        assert math.isnan(_be(prob, x))
+    assert _be(prob, prob.truth.x) == backward_error(prob.a, prob.b, prob.truth.x)
 
 
 class TestConvergence:

@@ -1,5 +1,6 @@
 """Unit tests for subspace embeddings."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,11 +15,17 @@ from itsketch.embed import (
     measure_distortion,
     sparse_sign_new,
 )
-from itsketch.linalg import householder_qr_econ, lambert_w0, svd_values
+from itsketch.linalg import lambert_w0, svd_values
+from reference import householder_qr_econ
 
 
 def densify(s):
     return np.asarray(s.matrix.todense())
+
+
+def rows_and_signs(s):
+    """(m, zeta) row indices and +-1 signs per column, read from the CSC matrix."""
+    return s.matrix.indices.reshape(s.m, s.zeta), np.sign(s.matrix.data).reshape(s.m, s.zeta)
 
 
 def _distinct_rows_resort_all(d, m, zeta, rng):
@@ -58,8 +65,9 @@ class TestSparseSignNew:
         s = sparse_sign_new(d=4, m=3, zeta=4, rng_seed=0)
         dense = densify(s)
         assert np.all(np.abs(dense) == 0.5)
+        rows, _ = rows_and_signs(s)
         for j in range(3):
-            assert sorted(s.rows[j]) == [0, 1, 2, 3]
+            assert sorted(rows[j]) == [0, 1, 2, 3]
 
     def test_column_norms_unit(self):
         s = sparse_sign_new(d=30, m=50, zeta=5, rng_seed=1)
@@ -68,10 +76,11 @@ class TestSparseSignNew:
 
     def test_structure_invariants(self):
         s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
-        assert s.rows.shape == s.signs.shape == (40, 6)
+        rows, signs = rows_and_signs(s)
+        assert rows.shape == signs.shape == (40, 6)
         for j in range(40):
-            assert len(set(s.rows[j])) == 6
-        assert np.all(np.abs(s.signs) == 1.0)
+            assert len(set(rows[j])) == 6
+        assert np.all(np.abs(signs) == 1.0)
         assert s.scale == pytest.approx(1 / math.sqrt(6))
 
     def test_zeta_larger_than_d_rejected(self):
@@ -81,7 +90,8 @@ class TestSparseSignNew:
     def test_deterministic(self):
         s1 = sparse_sign_new(20, 30, 4, rng_seed=7)
         s2 = sparse_sign_new(20, 30, 4, rng_seed=7)
-        assert np.array_equal(s1.rows, s2.rows) and np.array_equal(s1.signs, s2.signs)
+        (rows1, signs1), (rows2, signs2) = rows_and_signs(s1), rows_and_signs(s2)
+        assert np.array_equal(rows1, rows2) and np.array_equal(signs1, signs2)
 
     # (20, 5000, 8) and (10, 3000, 9) need many redraw rounds
     @pytest.mark.parametrize("d,m,zeta", [(3, 500, 2), (20, 5000, 8), (10, 3000, 9), (400, 20000, 8)])
@@ -95,9 +105,11 @@ class TestSparseSignNew:
     def test_stored_once(self):
         s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
         assert not any(isinstance(v, np.ndarray) for v in vars(s).values())
-        assert np.shares_memory(s.rows, s.matrix.indices)
-        assert not s.rows.flags.writeable
-        np.testing.assert_array_equal(s.signs * s.scale, s.matrix.data.reshape(40, 6))
+        rows, signs = rows_and_signs(s)
+        assert np.shares_memory(rows, s.matrix.indices)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.matrix = None
+        np.testing.assert_array_equal(signs * s.scale, s.matrix.data.reshape(40, 6))
 
     @pytest.mark.parametrize(
         "d,m,zeta,seed",
@@ -152,10 +164,10 @@ class TestApply:
 
     def test_apply_vec(self):
         s = sparse_sign_new(15, 25, 4, 4)
-        assert np.all(s.apply_vec(np.zeros(25)) == 0)
+        assert np.all(s.apply_dense(np.zeros(25)) == 0)
         e7 = np.zeros(25)
         e7[7] = 1.0
-        np.testing.assert_array_equal(s.apply_vec(e7), densify(s)[:, 7])
+        np.testing.assert_array_equal(s.apply_dense(e7), densify(s)[:, 7])
 
     def test_apply_sparse_matches_densified(self):
         s = sparse_sign_new(20, 40, 3, 5)

@@ -97,6 +97,20 @@ class TestBackwardError:
         with pytest.raises(ValueError):
             backward_error(np.eye(3), np.ones(3), np.zeros(3))
 
+    @pytest.mark.parametrize("x_hat", [
+        np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([1e300, 1.0]),
+    ], ids=["nan", "inf", "norm-overflows"])
+    def test_non_finite_x_hat_raises_value_error(self, x_hat):
+        rng = np.random.default_rng(2)
+        a, b = rng.standard_normal((50, 2)), rng.standard_normal(50)
+        with pytest.raises(ValueError, match="finite norm"):
+            backward_error(a, b, x_hat)
+
+    def test_overflowing_residual_raises_value_error(self):
+        # ||x_hat|| is finite, ||b - A x_hat|| is not
+        with pytest.raises(ValueError, match="r_hat"):
+            backward_error(1e200 * np.ones((50, 2)), np.ones(50), np.array([1e150, 1.0]))
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             backward_error(np.ones((11, 2)), np.ones(11), np.ones(2), max_m=10)

@@ -3,13 +3,38 @@
 import dataclasses
 
 import itsketch
-from itsketch import SolveResult, SolverConfig
+from itsketch import SolveResult, SolverConfig, SparseSignEmbedding
 
 
 def test_all_names_resolve():
     missing = [name for name in itsketch.__all__ if not hasattr(itsketch, name)]
     assert missing == []
     assert len(set(itsketch.__all__)) == len(itsketch.__all__)
+
+
+def test_all_is_pinned():
+    # an export is added or removed here on purpose; the Householder QR that
+    # forms Q lives in tests/reference.py, since only tests call it
+    assert itsketch.__all__ == [
+        "qr_solve", "tri_solve_upper", "tri_solve_upper_transpose", "svd_values",
+        "lambert_w0",
+        "SparseSignEmbedding", "DistortionReport", "measure_distortion", "choose_dim",
+        "forward_error", "residual_error", "backward_error", "wedin_bounds",
+        "LsProblem", "gen_randsvd", "gen_sparse", "kernel_problem", "load_csv",
+        "SolverConfig", "SolveTrace", "SolveResult", "sketch_and_solve",
+        "iterative_sketching", "sketch_and_precondition", "bad_variant", "lsqr",
+        "damping_params", "momentum_params", "rate_g_is", "rate_g_damp", "rate_g_mom",
+        "theoretical_bound_curve", "should_stop",
+    ]
+    assert len(itsketch.__all__) == 33
+
+
+def test_sparse_sign_embedding_fields():
+    # S is held once, as its CSC matrix; nothing else is stored
+    assert [f.name for f in dataclasses.fields(SparseSignEmbedding)] == [
+        "d", "m", "zeta", "scale", "matrix",
+    ]
+    assert not {"rows", "signs", "apply_vec"} & set(dir(SparseSignEmbedding))
 
 
 def test_solver_config_fields():

@@ -9,9 +9,9 @@ from itsketch.linalg import svd_values
 from itsketch.problems import (
     CsvParseError,
     KernelConfig,
+    _haar_stiefel,
     gen_randsvd,
     gen_sparse,
-    haar_orthogonal,
     kernel_problem,
     load_csv,
     save_csv,
@@ -64,7 +64,7 @@ class TestGenRandsvd:
 
 class TestHaarProxy:
     def test_orthogonality(self):
-        u = haar_orthogonal(20, np.random.default_rng(0))
+        u = _haar_stiefel(20, 20, np.random.default_rng(0))
         assert np.linalg.norm(u.T @ u - np.eye(20)) <= 1e-12
 
     def test_first_coordinate_matches_sphere_marginal(self):
@@ -73,7 +73,7 @@ class TestHaarProxy:
         # so t^2 ~ Beta(1/2, (k-1)/2). One-sample KS distance <= 0.05.
         k = 6
         t = np.array([
-            haar_orthogonal(k, np.random.default_rng(s))[0, 0]
+            _haar_stiefel(k, k, np.random.default_rng(s))[0, 0]
             for s in range(10_000)
         ])
         t2 = np.sort(t**2)

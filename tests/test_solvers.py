@@ -4,6 +4,7 @@ stopping rule, LSQR, and the deliberately-unstable baselines."""
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
     SingularMatrixError,
-    householder_qr_econ,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -37,6 +37,7 @@ from itsketch.solvers import (
     sketch_and_solve,
     theoretical_bound_curve,
 )
+from reference import householder_qr_econ
 
 U = 2.0**-53
 
@@ -511,3 +512,58 @@ class TestBadVariants:
         p = gen_randsvd(100, 10, 10.0, 0.1, 0)
         with pytest.raises(ValueError):
             bad_variant(p.a, p.b, SolverConfig(d=50), "bad_everything")
+
+
+ENTRY_SOLVES = {
+    "is": iterative_sketching,
+    "sp": sketch_and_precondition,
+    **{kind: partial(bad_variant, kind=kind) for kind in ("bad_matrix", "bad_residual", "bad_init")},
+}
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("solve", ENTRY_SOLVES.values(), ids=ENTRY_SOLVES.keys())
+class TestInputChecks:
+    """Every solver rejects a b of the wrong shape and a non-finite A or b at
+    its entry, with a ValueError that names the input."""
+
+    CFG = SolverConfig(d=60, max_iters=5)
+
+    @staticmethod
+    def _problem(dense):
+        p = gen_randsvd(300, 6, 10.0, 1e-3, 0) if dense else gen_sparse(300, 6, 0)
+        return p.a, p.b
+
+    def test_b_of_wrong_shape(self, solve, dense):
+        a, b = self._problem(dense)
+        for bad_b in (b[:-1], np.append(b, 1.0), b[:, None]):
+            with pytest.raises(ValueError, match=r"^b must be a vector of length m=300, got shape"):
+                solve(a, bad_b, self.CFG)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_a(self, solve, dense, value):
+        a, b = self._problem(dense)
+        a = a.copy()
+        if dense:
+            a[123, 4] = value
+        else:
+            a.data[100] = value
+        with pytest.raises(ValueError, match=r"^A must be finite"):
+            solve(a, b, self.CFG)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b(self, solve, dense, value):
+        a, b = self._problem(dense)
+        b = b.copy()
+        b[299] = value
+        with pytest.raises(ValueError, match=r"^b must be finite"):
+            solve(a, b, self.CFG)
+
+
+def test_sketch_and_solve_names_b():
+    p = gen_randsvd(300, 6, 10.0, 1e-3, 0)
+    s = sparse_sign_new(60, 300, 8, 0)
+    with pytest.raises(ValueError, match=r"^b must be a vector of length m=300"):
+        sketch_and_solve(p.a, p.b[:-1], s)
+    with pytest.raises(ValueError, match=r"^b must be finite"):
+        sketch_and_solve(p.a, np.full(300, np.nan), s)
