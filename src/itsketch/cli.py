@@ -2,7 +2,8 @@
 
 Subcommands reproduce the stability experiments as CSV files (no in-process
 plotting): solve, convergence, bad, compare, dims, kernel, sparsebench.
-Exit codes: 0 ok, 1 solver divergence, 2 I/O or parse error, 64 bad flags.
+Exit codes: 0 ok, 1 solver divergence, 2 I/O or parse error, 64 bad flags
+(including flag values a generator or the solver configuration rejects).
 """
 
 from __future__ import annotations
@@ -359,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # a flag value a generator or SolverConfig rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

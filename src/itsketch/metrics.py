@@ -8,6 +8,7 @@ bounds used as reference accuracy levels.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import svd_values
 
@@ -42,6 +43,13 @@ BE_MAX_M = 4000
 _BE_DIRECT_MAX_M = 400
 
 
+def _norm2(v: np.ndarray) -> float:
+    """2-norm by BLAS nrm2, which scales as it sums and so overflows only when
+    the norm itself does (np.linalg.norm squares first, past about 1.3e154).
+    A NaN or inf entry gives a NaN or inf norm."""
+    return float(scipy.linalg.norm(v, check_finite=False))
+
+
 def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     """sigma_min of C = [A | nu*(I - qq')] with q = r_hat/||r_hat||, without
     forming the m x (n+m) matrix. Requires m > n + 1.
@@ -60,7 +68,7 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     """
     m, n = a.shape
     q_hat, r_fac = np.linalg.qr(a, mode="reduced")
-    q = r_hat / np.linalg.norm(r_hat)
+    q = r_hat / _norm2(r_hat)
     p = q_hat.T @ q
     tau = float(np.linalg.norm(q - q_hat @ p))
     z = np.concatenate([p, [tau]])
@@ -93,11 +101,11 @@ def backward_error(
     m, n = a.shape
     if m > max_m:
         raise ValueError(f"backward_error capped at m <= {max_m}, got m = {m}")
-    nx = np.linalg.norm(x_hat)
+    nx = _norm2(x_hat)
     if not 0.0 < nx < np.inf:
         raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
     r_hat = b - a @ x_hat
-    nr = np.linalg.norm(r_hat)
+    nr = _norm2(r_hat)
     if nr == 0.0:
         return 0.0
     nu = nr / nx

@@ -31,6 +31,11 @@ from .problems import Truth
 U = 2.0**-53
 STOP_GAMMA = 1.0
 STOP_RHO = 0.04
+# window and factors of the stagnation test (_stagnated), tried when the
+# rule does not fire
+STAG_WINDOW = 4
+STAG_FLOOR = 1.0
+STAG_SHRINK = 0.5
 
 
 class RateHypothesisError(ValueError):
@@ -45,7 +50,7 @@ class SolverConfig:
     init: str = "sketch_and_solve"  # sketch_and_solve | zero
     max_iters: int = 50
     rng_seed: int = 0
-    extra_iters: int = 0  # iterations to run after the stopping rule fires
+    extra_iters: int = 0  # iterations to run after the rule or the stagnation test fires
 
     def validate(self, n: int) -> None:
         if self.d < n:
@@ -76,7 +81,9 @@ class SolveTrace:
     stop_thresholds: list[float] = field(default_factory=list)
     fe: list[float] = field(default_factory=list)
     re: list[float] = field(default_factory=list)
-    stop_reason: str = "max_iters"  # stopped_by_rule | max_iters | diverged | lsqr_tolerance
+    # stopped_by_rule | stagnated (the change sat at the rounding floor of
+    # b - Ax and stopped falling) | max_iters | diverged | lsqr_tolerance
+    stop_reason: str = "max_iters"
     normest: float = 0.0  # sigma_max of the sketch's R factor
     condest: float = 0.0  # sigma_max / sigma_min of the sketch's R factor
 
@@ -206,6 +213,20 @@ def _stop_threshold(
     return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
 
 
+def _stagnated(changes: list[float], floor: float) -> bool:
+    """Stagnation test on the residual changes so far: the last is at most
+    STAG_FLOOR * floor, with floor = u(||b|| + normest*||x_{i+1}||) the
+    rounding error of forming b - Ax, and above STAG_SHRINK times the one
+    STAG_WINDOW iterations before it, so it has stopped falling. The rule's
+    threshold can sit below that floor (a well-conditioned A with a large
+    residual), where the change levels off without ever meeting it."""
+    return (
+        len(changes) > STAG_WINDOW
+        and changes[-1] <= STAG_FLOOR * floor
+        and changes[-1] > STAG_SHRINK * changes[-1 - STAG_WINDOW]
+    )
+
+
 def _as_rhs(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
@@ -313,17 +334,19 @@ def _run_refinement(
     truth: Truth | None,
 ) -> SolveResult:
     """Shared refinement loop: x_{i+1} = x_i + alpha*d_i + beta*(x_i - x_{i-1})
-    with d_i = solve_step(rhs(x_i)), plus tracing, stopping rule, and the
-    divergence guard."""
+    with d_i = solve_step(rhs(x_i)), plus tracing, the stopping rule, the
+    stagnation test, and the divergence guard."""
     n = x0.shape[0]
     alpha, beta = _update_coeffs(cfg, n)
     trace = SolveTrace(normest=normest, condest=condest)
     guard = _DivergenceGuard()
+    norm_b = float(np.linalg.norm(b))
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = b - a @ x
     _record(trace, b, x, r, truth)
-    remaining_extra: int | None = None
+    reason: str | None = None  # set when the rule or the stagnation test fires
+    remaining_extra = cfg.extra_iters
     for _ in range(cfg.max_iters):
         d = solve_step(rhs(x, r))
         if cfg.variant == "basic":
@@ -333,8 +356,9 @@ def _run_refinement(
         r_next = b - a @ x_next
         change = float(np.linalg.norm(r_next - r))
         resnorm = float(np.linalg.norm(r_next))
+        norm_x = float(np.linalg.norm(x_next))
         threshold = _stop_threshold(
-            float(np.linalg.norm(x_next)), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
+            norm_x, resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
         )
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
@@ -344,11 +368,14 @@ def _run_refinement(
             return SolveResult(solution=x_next, trace=trace, config=cfg)
         x_prev, x, r = x, x_next, r_next
         _record(trace, b, x, r, truth)
-        if remaining_extra is None and change <= threshold:
-            remaining_extra = cfg.extra_iters
-        if remaining_extra is not None:
+        if reason is None:
+            if change <= threshold:
+                reason = "stopped_by_rule"
+            elif _stagnated(trace.residual_changes, U * (norm_b + normest * norm_x)):
+                reason = "stagnated"
+        if reason is not None:
             if remaining_extra == 0:
-                trace.stop_reason = "stopped_by_rule"
+                trace.stop_reason = reason
                 return SolveResult(solution=x, trace=trace, config=cfg)
             remaining_extra -= 1
     trace.stop_reason = "max_iters"

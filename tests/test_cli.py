@@ -75,6 +75,18 @@ class TestFlags:
         assert '--d must be "auto" or an integer >= n' in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--m", "40", "--n", "50", "--cond", "10", "--resnorm", "1e-3"],
+        ["kernel", "--synthetic-rows", "100", "--centers", "200"],
+    ], ids=["solve-m-below-n", "kernel-centers-above-rows"])
+    def test_value_rejected_by_generator_exits_64(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_d_equal_to_n_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run(["solve", *PROBLEM, "--d", "15", "--max-iters", "3", "--out", str(out)]) == EXIT_OK
@@ -94,6 +106,17 @@ class TestSolve:
         assert summary[0] == SCHEMA_LINE
         assert summary[1] == "iters,stop_reason,fe,re,be"
         assert len(summary) == 3
+
+    def test_stagnated_exits_0(self, tmp_path):
+        # kappa = 10 with a unit residual: the rule's threshold sits below the
+        # rounding floor of b - Ax, and the stagnation test ends the solve
+        out = tmp_path / "x.csv"
+        assert run([
+            "solve", "--m", "4000", "--n", "50", "--cond", "10", "--resnorm", "1",
+            "--d", "1000", "--seed", "0", "--out", str(out),
+        ]) == EXIT_OK
+        row = (tmp_path / "x.csv.summary.csv").read_text().splitlines()[2].split(",")
+        assert row[1] == "stagnated" and int(row[0]) < 100
 
     def test_missing_flag_exits_64(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -98,7 +98,7 @@ class TestBackwardError:
             backward_error(np.eye(3), np.ones(3), np.zeros(3))
 
     @pytest.mark.parametrize("x_hat", [
-        np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([1e300, 1.0]),
+        np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([1.5e308, 1.5e308]),
     ], ids=["nan", "inf", "norm-overflows"])
     def test_non_finite_x_hat_raises_value_error(self, x_hat):
         rng = np.random.default_rng(2)
@@ -123,6 +123,18 @@ class TestBackwardError:
         be = backward_error(a, b, x_hat)
         for c in (1e-6, 3.0, 1e8):
             assert backward_error(c * a, c * b, x_hat) == pytest.approx(be, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [20, 500], ids=["direct", "fast-path"])
+    def test_scaling_invariance_huge_x(self, m):
+        # ||s x|| and ||s r|| are finite at s = 1e158, but their squares overflow
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((m, 3))
+        b = rng.standard_normal(m)
+        x_hat = np.linalg.lstsq(a, b, rcond=None)[0] + 0.01 * rng.standard_normal(3)
+        s = 1e158
+        assert backward_error(a, s * b, s * x_hat) == pytest.approx(
+            backward_error(a, b, x_hat), rel=1e-12
+        )
 
     def test_fast_path_matches_literal_svd(self):
         rng = np.random.default_rng(2)

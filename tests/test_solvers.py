@@ -2,9 +2,13 @@
 stopping rule, LSQR, and the deliberately-unstable baselines."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,11 @@ from itsketch.linalg import (
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
+from itsketch.metrics import forward_error
 from itsketch.problems import gen_randsvd, gen_sparse
+import itsketch.solvers
 from itsketch.solvers import (
+    STAG_WINDOW,
     STOP_GAMMA,
     STOP_RHO,
     RateHypothesisError,
@@ -36,6 +43,7 @@ from itsketch.solvers import (
     sketch_and_precondition,
     sketch_and_solve,
     theoretical_bound_curve,
+    _stagnated,
 )
 from reference import householder_qr_econ
 
@@ -161,6 +169,67 @@ class TestShouldStop:
         assert should_stop(r_next, r_curr, x, 1.0, 25.0, 0.5, gamma=1.0, rho=0.04)
 
 
+def _same_iterates(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+class TestStagnated:
+    def test_falling_below_floor_never_fires(self):
+        # shrinks 0.8**4 = 0.41x over each window: still falling
+        changes = [1e-16 * 0.8**k for k in range(40)]
+        assert not any(_stagnated(changes[: i + 1], 1.0) for i in range(len(changes)))
+
+    def test_flat_above_floor_never_fires(self):
+        changes = [1e-14] * 40
+        assert not any(_stagnated(changes[: i + 1], 1e-15) for i in range(len(changes)))
+
+    def test_flat_at_floor_fires_once_window_is_full(self):
+        changes = [1e-15] * (STAG_WINDOW + 1)
+        assert not _stagnated(changes[:-1], 1e-15)
+        assert _stagnated(changes, 1e-15)
+
+    @staticmethod
+    def _sparse_problem():
+        # a well-conditioned A with a large residual: the rule's threshold
+        # (1.3e-15) sits below the rounding floor of b - Ax (1.6e-14)
+        return gen_sparse(20_000, 10, 0), SolverConfig(d=200, max_iters=100)
+
+    def test_stops_at_the_level_of_a_full_run(self, monkeypatch):
+        p, cfg = self._sparse_problem()
+        x_ref = np.linalg.lstsq(p.a.toarray(), p.b, rcond=None)[0]
+        res = iterative_sketching(p.a, p.b, cfg)
+        assert res.trace.stop_reason == "stagnated"
+        assert res.iterations < cfg.max_iters
+        monkeypatch.setattr(itsketch.solvers, "STAG_FLOOR", 0.0)
+        full = iterative_sketching(p.a, p.b, cfg)
+        assert full.trace.stop_reason == "max_iters"
+        assert _same_iterates(full.trace.iterates[: res.iterations + 1], res.trace.iterates)
+        fe_stop, fe_full = (forward_error(x_ref, r.solution) for r in (res, full))
+        assert fe_stop <= 1.1 * fe_full
+
+    def test_extra_iters_after_stagnated(self):
+        p, cfg = self._sparse_problem()
+        res0 = iterative_sketching(p.a, p.b, cfg)
+        res4 = iterative_sketching(p.a, p.b, replace(cfg, extra_iters=4))
+        assert res0.trace.stop_reason == res4.trace.stop_reason == "stagnated"
+        assert res4.iterations == res0.iterations + 4
+        assert _same_iterates(res4.trace.iterates[: res0.iterations + 1], res0.trace.iterates)
+
+    def test_trace_aligned_with_iterations(self):
+        p, cfg = self._sparse_problem()
+        res = iterative_sketching(p.a, p.b, cfg)
+        tr = res.trace
+        assert len(tr.stop_thresholds) == len(tr.residual_changes) == res.iterations
+        assert all(c > t for c, t in zip(tr.residual_changes, tr.stop_thresholds))
+        norm_b = np.linalg.norm(p.b)
+        fired = [
+            _stagnated(tr.residual_changes[: i + 1],
+                       U * (norm_b + tr.normest * np.linalg.norm(tr.iterates[i + 1])))
+            for i in range(res.iterations)
+        ]
+        assert fired.index(True) == res.iterations - 1
+
+
 class TestSketchAndSolve:
     def test_consistent_system(self):
         p = gen_randsvd(400, 15, 1e4, 0.0, 0)
@@ -260,6 +329,33 @@ class TestIterativeSketching:
         assert r1.trace.fe == r2.trace.fe
         assert r1.trace.residual_changes == r2.trace.residual_changes
         assert r1.trace.stop_reason == r2.trace.stop_reason
+
+    def test_sparse_solve_bitwise_equal_across_blas_threads(self):
+        # With a sparse A the products with A and A' are SciPy's sparse kernels,
+        # not the threaded BLAS, so the iterates do not depend on its thread
+        # count. The norms of m-vectors (residual changes, thresholds) and a
+        # dense A's products A'r do.
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from itsketch import SolverConfig, gen_sparse, iterative_sketching\n"
+            "p = gen_sparse(20_000, 10, 0)\n"
+            "res = iterative_sketching(p.a, p.b, SolverConfig(d=200, max_iters=100))\n"
+            "xs = np.concatenate([res.solution, *res.trace.iterates])\n"
+            "print(res.trace.stop_reason, res.iterations, hashlib.sha256(xs.tobytes()).hexdigest())\n"
+        )
+        path = os.pathsep.join(filter(None, [
+            str(Path(itsketch.solvers.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH"),
+        ]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("stagnated ")
 
     def test_damped_and_momentum_converge(self):
         p = gen_randsvd(1000, 20, 1e4, 1e-3, 6)
@@ -437,13 +533,15 @@ class TestTraceMemory:
             assert max(arr.size for arr in held) <= n
 
     def test_peak_memory_flat_in_iterations(self):
-        p = gen_sparse(20_000, 10, 0)  # the stop rule never fires on it
+        # at d=100 neither the stop rule nor the stagnation test fires within
+        # 100 iterations (at d=200 the solve stagnates at iteration 71)
+        p = gen_sparse(20_000, 10, 0)
 
         def peak(max_iters):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                res = iterative_sketching(p.a, p.b, SolverConfig(d=200, max_iters=max_iters))
+                res = iterative_sketching(p.a, p.b, SolverConfig(d=100, max_iters=max_iters))
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
