@@ -9,7 +9,6 @@ Exit codes: 0 ok, 1 solver divergence, 2 I/O or parse error, 64 bad flags
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -22,7 +21,6 @@ from .linalg import qr_solve
 from .metrics import BE_MAX_M, backward_error
 from .problems import (
     CsvParseError,
-    KernelConfig,
     gen_randsvd,
     gen_sparse,
     kernel_problem,
@@ -30,7 +28,9 @@ from .problems import (
     save_csv,
 )
 from .solvers import (
+    _EPS_BASIC_MAX,
     SolverConfig,
+    _errors,
     bad_variant,
     iterative_sketching,
     sketch_and_precondition,
@@ -90,8 +90,12 @@ def _solver_cfg(args, m: int, n: int, variant: str | None = None, seed: int | No
 
 
 def _be(prob, x: np.ndarray) -> float:
-    """Backward error of x, or nan where it is undefined: x = 0 or a non-finite ||x||."""
-    return backward_error(prob.a, prob.b, x) if 0 < np.linalg.norm(x) < math.inf else float("nan")
+    """Backward error of x, or nan where it is undefined: x = 0, or a non-finite
+    x or norm. main() has already checked --m against BE_MAX_M."""
+    try:
+        return backward_error(prob.a, prob.b, x)
+    except ValueError:
+        return float("nan")
 
 
 def cmd_solve(args) -> int:
@@ -139,7 +143,7 @@ def cmd_convergence(args) -> int:
         res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
         eps = default_distortion(args.n, cfg.d)
         bounds = None
-        if args.variant == "basic" and eps < 1 - 1 / math.sqrt(2):
+        if args.variant == "basic" and eps < _EPS_BASIC_MAX:
             bounds = theoretical_bound_curve(
                 "basic", eps, prob.truth.kappa, 1.0, prob.truth.beta, len(res.trace.iterates)
             )
@@ -148,9 +152,7 @@ def cmd_convergence(args) -> int:
                       bounds[1] / max(prob.truth.beta, np.finfo(float).tiny))
         out = _trace_rows(args, prob, f"is_{args.variant}", kappa, beta, res, bounds)
         xqr = qr_solve(prob.a, prob.b)[0]
-        fe = float(np.linalg.norm(prob.truth.x - xqr))
-        rqr = prob.b - prob.a @ xqr
-        re = float(np.linalg.norm(prob.truth.r - rqr) / max(prob.truth.beta, np.finfo(float).tiny))
+        fe, re = _errors(prob.truth, prob.b, xqr, prob.b - prob.a @ xqr)
         be = _be(prob, xqr) if args.metrics == "full" else float("nan")
         out.append(["householder_qr", kappa, beta, -1, fe, re, be,
                     float("nan"), float("nan"), float("nan")])
@@ -219,8 +221,7 @@ def cmd_kernel(args) -> int:
     points, targets = load_csv(data_path, args.target)
     rows = []
     for n in args.centers:
-        kc = KernelConfig(bandwidth=args.bandwidth, subset_size=n, seed=args.seed)
-        prob = kernel_problem(points, targets, kc)
+        prob = kernel_problem(points, targets, args.bandwidth, n, args.seed)
         cfg = _solver_cfg(args, points.shape[0], n)
         times_is, times_qr = [], []
         for _ in range(args.repeats):

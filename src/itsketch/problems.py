@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
+
+from .embed import _distinct_rows
 
 
 @dataclass
@@ -29,13 +31,6 @@ class LsProblem:
     a: np.ndarray | sp.csr_matrix
     b: np.ndarray
     truth: Truth | None = None
-
-
-@dataclass
-class KernelConfig:
-    bandwidth: float = 4.0
-    subset_size: int = 100
-    seed: int = 0
 
 
 def _haar_stiefel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,13 +76,7 @@ def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
     if not (m >= n >= 3):
         raise ValueError(f"need m >= n >= 3, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    cols = rng.integers(0, n, size=(m, 3))
-    while True:
-        srt = np.sort(cols, axis=1)
-        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-        if not bad.any():
-            break
-        cols[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
+    cols = _distinct_rows(n, m, 3, rng)
     vals = rng.choice(np.array([-1.0, 1.0]), size=(m, 3))
     indptr = 3 * np.arange(m + 1)
     a = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(m, n))
@@ -97,7 +86,8 @@ def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
 
 
 def kernel_problem(
-    points: np.ndarray, targets: np.ndarray, cfg: KernelConfig
+    points: np.ndarray, targets: np.ndarray, bandwidth: float = 4.0,
+    subset_size: int = 100, seed: int = 0,
 ) -> LsProblem:
     """Square-exponential kernel regression design matrix against a random
     subset of n centers; features standardized to zero mean, unit variance.
@@ -107,9 +97,9 @@ def kernel_problem(
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     m = points.shape[0]
-    if cfg.subset_size > m:
-        raise ValueError(f"subset_size {cfg.subset_size} exceeds row count {m}")
-    if cfg.bandwidth <= 0:
+    if subset_size > m:
+        raise ValueError(f"subset_size {subset_size} exceeds row count {m}")
+    if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     mean = points.mean(axis=0)
     std = points.std(axis=0)
@@ -120,10 +110,10 @@ def kernel_problem(
             stacklevel=2,
         )
     z = (points[:, keep] - mean[keep]) / std[keep]
-    rng = np.random.default_rng(cfg.seed)
-    centers = rng.choice(m, size=cfg.subset_size, replace=False)
+    rng = np.random.default_rng(seed)
+    centers = rng.choice(m, size=subset_size, replace=False)
     d2 = cdist(z, z[centers], metric="sqeuclidean")
-    a = np.exp(-d2 / (2.0 * cfg.bandwidth**2))
+    a = np.exp(-d2 / (2.0 * bandwidth**2))
     return LsProblem(a=a, b=targets, truth=None)
 
 

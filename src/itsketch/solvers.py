@@ -257,17 +257,21 @@ def sketch_and_solve(
     return qr_solve(*_sketch(a, _as_rhs(a, b), s))
 
 
+def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
+    """Validate cfg against A's shape and build its S."""
+    m, n = a.shape
+    cfg.validate(n)
+    return sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
+
+
 def _sketch_factor(
     a, b: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Validate cfg, build S, sketch-and-solve, and estimate ||A|| and
-    cond(A) from the singular values of R: (x0, R, normest, condest)."""
-    m, n = a.shape
-    cfg.validate(n)
-    s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
-    x0, r_fac = sketch_and_solve(a, b, s)
+    """Build S, sketch-and-solve, and estimate ||A|| and cond(A) from the
+    singular values of R: (x0, R, normest, condest)."""
+    x0, r_fac = sketch_and_solve(a, b, _new_sketch(a, cfg))
     if cfg.init == "zero":
-        x0 = np.zeros(n)
+        x0 = np.zeros(a.shape[1])
     sv = svd_values(r_fac)
     return x0, r_fac, float(sv[0]), float(sv[0] / sv[-1])
 
@@ -300,17 +304,23 @@ class _DivergenceGuard:
         return still_growing and resnorm > self.FACTOR * self._min
 
 
+def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """(FE, RE) of x with residual r = b - Ax against the planted truth. RE
+    divides by the planted beta, not by ||truth.r|| (equal only up to
+    rounding), and is ||r|| / ||b|| where beta = 0."""
+    if truth.beta > 0:
+        return forward_error(truth.x, x), float(np.linalg.norm(truth.r - r) / truth.beta)
+    return forward_error(truth.x, x), float(np.linalg.norm(r) / np.linalg.norm(b))
+
+
 def _record(
     trace: SolveTrace, b: np.ndarray, x: np.ndarray, r: np.ndarray, truth: Truth | None
 ) -> None:
     trace.iterates.append(x)
     if truth is not None:
-        trace.fe.append(forward_error(truth.x, x))
-        # RE divides by the planted beta, not by ||truth.r|| (equal only up to rounding)
-        if truth.beta > 0:
-            trace.re.append(float(np.linalg.norm(truth.r - r) / truth.beta))
-        else:
-            trace.re.append(float(np.linalg.norm(r) / np.linalg.norm(b)))
+        fe, re = _errors(truth, b, x, r)
+        trace.fe.append(fe)
+        trace.re.append(re)
 
 
 def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float]:
@@ -327,17 +337,16 @@ def _run_refinement(
     b: np.ndarray,
     cfg: SolverConfig,
     x0: np.ndarray,
-    solve_step,
-    rhs,
+    correction,
     normest: float,
     condest: float,
     truth: Truth | None,
 ) -> SolveResult:
     """Shared refinement loop: x_{i+1} = x_i + alpha*d_i + beta*(x_i - x_{i-1})
-    with d_i = solve_step(rhs(x_i)), plus tracing, the stopping rule, the
-    stagnation test, and the divergence guard."""
-    n = x0.shape[0]
-    alpha, beta = _update_coeffs(cfg, n)
+    with d_i = correction(x_i, r_i), plus tracing, the stopping rule, the
+    stagnation test, and the divergence guard. The stable solver and its
+    unstable baselines differ only in correction."""
+    alpha, beta = _update_coeffs(cfg, x0.shape[0])
     trace = SolveTrace(normest=normest, condest=condest)
     guard = _DivergenceGuard()
     norm_b = float(np.linalg.norm(b))
@@ -348,11 +357,7 @@ def _run_refinement(
     reason: str | None = None  # set when the rule or the stagnation test fires
     remaining_extra = cfg.extra_iters
     for _ in range(cfg.max_iters):
-        d = solve_step(rhs(x, r))
-        if cfg.variant == "basic":
-            x_next = x + d
-        else:
-            x_next = x + alpha * d + beta * (x - x_prev)
+        x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
         r_next = b - a @ x_next
         change = float(np.linalg.norm(r_next - r))
         resnorm = float(np.linalg.norm(r_next))
@@ -387,15 +392,6 @@ def _normal_step(r_fac: np.ndarray, c: np.ndarray) -> np.ndarray:
     return tri_solve_upper(r_fac, tri_solve_upper_transpose(r_fac, c))
 
 
-def _refine_with_sketch_factor(
-    a, b: np.ndarray, cfg: SolverConfig, rhs, truth: Truth | None
-) -> SolveResult:
-    """_run_refinement with d_i = (R'R)^-1 rhs(x_i, r_i), R the factor of SA."""
-    x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
-    solve_step = partial(_normal_step, r_fac)
-    return _run_refinement(a, b, cfg, x0, solve_step, rhs, normest, condest, truth)
-
-
 def iterative_sketching(
     a, b: np.ndarray, cfg: SolverConfig, truth: Truth | None = None
 ) -> SolveResult:
@@ -403,11 +399,9 @@ def iterative_sketching(
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
     b = _as_rhs(a, b)
-
-    def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return a.T @ r
-
-    return _refine_with_sketch_factor(a, b, cfg, rhs, truth)
+    x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
+    correction = lambda x, r: _normal_step(r_fac, a.T @ r)  # (R'R)^-1 A'r
+    return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
 
 def bad_variant(
@@ -427,37 +421,25 @@ def bad_variant(
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
 
     if kind == "bad_residual":
+        x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
         atb = a.T @ b
-
-        def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return atb - a.T @ (a @ x)
-
-        return _refine_with_sketch_factor(a, b, cfg, rhs, truth)
+        correction = lambda x, r: _normal_step(r_fac, atb - a.T @ (a @ x))
+        return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        m, n = a.shape
-        cfg.validate(n)
-        s = sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
-        sa, sb = _sketch(a, b, s)
+        sa, sb = _sketch(a, b, _new_sketch(a, cfg))
         gram = sa.T @ sa
         try:
-            solve_step = partial(_normal_step, np.linalg.cholesky(gram).T)
+            gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
         except np.linalg.LinAlgError:
-            lu_piv = scipy.linalg.lu_factor(gram)
-
-            def solve_step(c: np.ndarray) -> np.ndarray:
-                return scipy.linalg.lu_solve(lu_piv, c)
-
-        x0 = solve_step(sa.T @ sb)
+            gram_solve = partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram))
+        x0 = gram_solve(sa.T @ sb)
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
         gram_sv = svd_values(gram)
         normest = math.sqrt(gram_sv[0])
         condest = float(math.sqrt(gram_sv[0] / max(gram_sv[-1], np.finfo(float).tiny)))
-
-        def rhs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return a.T @ r
-
-        return _run_refinement(a, b, cfg, x0, solve_step, rhs, normest, condest, truth)
+        correction = lambda x, r: gram_solve(a.T @ r)
+        return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
     raise ValueError(f"unknown bad variant {kind!r}")
 

@@ -149,9 +149,11 @@ class TestSolve:
 
 def test_be_nan_at_non_finite_iterate():
     prob = gen_randsvd(60, 4, 10.0, 1e-3, 0)
-    for x in (np.full(4, np.nan), np.full(4, np.inf), np.full(4, 1e300), np.zeros(4)):
+    # the norm of [1.5e308]*4 overflows; [1e160]*4 has a finite norm and a backward error
+    for x in (np.full(4, np.nan), np.full(4, np.inf), np.full(4, 1.5e308), np.zeros(4)):
         assert math.isnan(_be(prob, x))
-    assert _be(prob, prob.truth.x) == backward_error(prob.a, prob.b, prob.truth.x)
+    for x in (prob.truth.x, np.full(4, 1e160)):
+        assert _be(prob, x) == backward_error(prob.a, prob.b, x)
 
 
 class TestConvergence:
@@ -159,7 +161,7 @@ class TestConvergence:
         out = tmp_path / "conv.csv"
         code = run([
             "convergence", "--m", "500", "--n", "20", "--cond", "1e2", "1e4",
-            "--resnorm", "1e-4", "--seed", "0", "--max-iters", "20",
+            "--resnorm", "1e-4", "0", "--seed", "0", "--max-iters", "20",
             "--out", str(out),
         ])
         assert code == EXIT_OK
@@ -170,8 +172,10 @@ class TestConvergence:
         methods = {r[0] for r in rows}
         assert methods == {"is_basic", "householder_qr"}
         qr_rows = [r for r in rows if r[0] == "householder_qr"]
-        assert len(qr_rows) == 2  # one per kappa
+        assert len(qr_rows) == 4  # one per (kappa, resnorm)
         assert all(r[3] == "-1" for r in qr_rows)
+        # at resnorm 0 RE is ||r|| / ||b||, as on the iterative rows
+        assert all(float(r[5]) < 1e-10 for r in qr_rows if float(r[2]) == 0.0)
 
     def test_rows_sorted(self, tmp_path):
         out = tmp_path / "conv.csv"

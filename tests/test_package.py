@@ -1,6 +1,8 @@
 """The package's public namespace."""
 
+import ast
 import dataclasses
+import pathlib
 
 import itsketch
 from itsketch import SolveResult, SolverConfig, SparseSignEmbedding
@@ -49,3 +51,27 @@ def test_solve_result_fields():
     assert [f.name for f in dataclasses.fields(SolveResult)] == [
         "solution", "trace", "config",
     ]
+
+
+def test_no_unused_imports():
+    # a name a module imports must be used in it; __all__ counts as a use
+    src = pathlib.Path(itsketch.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= {elt.value for elt in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from itsketch.linalg import svd_values
 from itsketch.problems import (
     CsvParseError,
-    KernelConfig,
     _haar_stiefel,
     gen_randsvd,
     gen_sparse,
@@ -86,8 +85,10 @@ class TestHaarProxy:
 
 
 class TestGenSparse:
-    def test_structure(self):
-        p = gen_sparse(500, 30, 0)
+    # at n = 3 every row holds all three columns, so no index is drawn
+    @pytest.mark.parametrize("n", [30, 3])
+    def test_structure(self, n):
+        p = gen_sparse(500, n, 0)
         a = p.a
         assert sp.issparse(a) and a.format == "csr"
         assert a.nnz == 3 * 500
@@ -122,31 +123,27 @@ class TestKernelProblem:
 
     def test_unit_entries_at_centers(self):
         pts, tg = self._data()
-        cfg = KernelConfig(bandwidth=2.0, subset_size=10, seed=5)
-        p = kernel_problem(pts, tg, cfg)
+        p = kernel_problem(pts, tg, bandwidth=2.0, subset_size=10, seed=5)
         # reconstruct the center draw the same way the builder does
-        centers = np.random.default_rng(cfg.seed).choice(
-            60, size=cfg.subset_size, replace=False
-        )
+        centers = np.random.default_rng(5).choice(60, size=10, replace=False)
         for j, c in enumerate(centers):
             assert p.a[c, j] == pytest.approx(1.0, abs=1e-15)
 
     def test_bandwidth_monotone(self):
         pts, tg = self._data()
-        a1 = kernel_problem(pts, tg, KernelConfig(bandwidth=2.0, subset_size=10, seed=1)).a
-        a2 = kernel_problem(pts, tg, KernelConfig(bandwidth=4.0, subset_size=10, seed=1)).a
+        a1 = kernel_problem(pts, tg, bandwidth=2.0, subset_size=10, seed=1).a
+        a2 = kernel_problem(pts, tg, bandwidth=4.0, subset_size=10, seed=1).a
         assert np.all(a2 >= a1)
 
     def test_brute_force_oracle(self):
         pts, tg = self._data(m=40, k=2, seed=2)
-        cfg = KernelConfig(bandwidth=3.0, subset_size=8, seed=9)
-        p = kernel_problem(pts, tg, cfg)
+        p = kernel_problem(pts, tg, bandwidth=3.0, subset_size=8, seed=9)
         z = (pts - pts.mean(axis=0)) / pts.std(axis=0)
-        centers = np.random.default_rng(cfg.seed).choice(40, size=8, replace=False)
+        centers = np.random.default_rng(9).choice(40, size=8, replace=False)
         for i in range(40):
             for j, c in enumerate(centers):
                 expect = np.exp(
-                    -np.sum((z[i] - z[c]) ** 2) / (2 * cfg.bandwidth**2)
+                    -np.sum((z[i] - z[c]) ** 2) / (2 * 3.0**2)
                 )
                 assert abs(p.a[i, j] - expect) <= 1e-14
 
@@ -154,15 +151,15 @@ class TestKernelProblem:
         pts, tg = self._data()
         pts[:, 1] = 5.0
         with pytest.warns(UserWarning):
-            p = kernel_problem(pts, tg, KernelConfig(subset_size=5, seed=0))
+            p = kernel_problem(pts, tg, subset_size=5, seed=0)
         assert p.a.shape == (60, 5)
 
     def test_parameter_errors(self):
         pts, tg = self._data()
         with pytest.raises(ValueError):
-            kernel_problem(pts, tg, KernelConfig(subset_size=1000, seed=0))
+            kernel_problem(pts, tg, subset_size=1000, seed=0)
         with pytest.raises(ValueError):
-            kernel_problem(pts, tg, KernelConfig(bandwidth=0.0, subset_size=5, seed=0))
+            kernel_problem(pts, tg, bandwidth=0.0, subset_size=5, seed=0)
 
 
 class TestCsv:
