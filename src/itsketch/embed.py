@@ -1,14 +1,15 @@
 """Random subspace embeddings.
 
-The sparse sign embedding: a d x m matrix whose columns each carry exactly
-zeta entries of value +-1/sqrt(zeta) in distinct random rows. Also the
+The sparse sign embedding: a d x m matrix whose columns each carry zeta
+entries of value +-1/sqrt(zeta), one in each of zeta contiguous row blocks,
+drawn and applied in column blocks so that it is never held whole. Also the
 distortion measurement and the embedding-dimension formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,66 +26,119 @@ class DistortionReport:
     sigma_min: float
 
 
-def _has_repeat(idx: np.ndarray) -> np.ndarray:
-    """Per row of idx, whether it holds a value twice."""
-    srt = np.sort(idx, axis=1)
-    return np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-
-
-def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.ndarray:
-    """zeta distinct uniform row indices for each of m columns, shape (m, zeta).
-
-    Sampled by vectorized rejection: redraw only the columns whose draw
-    contains a repeat, and check only those again. For zeta << d almost no
-    redraws are needed.
-    """
-    if zeta == d:
-        return np.tile(np.arange(d), (m, 1))
-    idx = rng.integers(0, d, size=(m, zeta))
-    bad = np.flatnonzero(_has_repeat(idx))
-    while bad.size:
-        idx[bad] = rng.integers(0, d, size=(bad.size, zeta))
-        bad = bad[_has_repeat(idx[bad])]
-    return idx
+# Columns of S drawn from one random stream. S does not depend on how many
+# columns are applied at a time, so this is a constant, not a setting.
+COLUMN_BLOCK = 8192
 
 
 @dataclass(frozen=True)
 class SparseSignEmbedding:
-    """Sparse sign embedding S (d x m, zeta nonzeros per column), held once as a CSC matrix."""
+    """Sparse sign embedding S (d x m) in the OSNAP block form.
+
+    The d rows are split into zeta contiguous blocks, block k starting at
+    row (k*d)//zeta, and each column holds one entry +-scale in a uniform
+    row of every block, with an independent sign. Columns are drawn in
+    blocks of COLUMN_BLOCK, block j from the stream
+    ``default_rng([rng_seed, j])``, so the first m columns of S do not
+    depend on m. No array is held: S is drawn again, block by block, each
+    time it is applied.
+    """
 
     d: int
     m: int
     zeta: int
     scale: float
-    matrix: sp.csc_matrix = field(repr=False, compare=False)
+    rng_seed: int
 
-    def apply_dense(self, a: np.ndarray) -> np.ndarray:
-        """S @ a for a dense m x n matrix (or length-m vector)."""
-        a = np.asarray(a, dtype=float)
+    def _row_starts(self) -> np.ndarray:
+        """First row of each of the zeta row blocks, then d."""
+        return (np.arange(self.zeta + 1) * self.d) // self.zeta
+
+    def _column_block(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (int32) and entries (+-scale) of column block j, each of shape
+        (columns, zeta), rows ascending along each column."""
+        count = min(COLUMN_BLOCK, self.m - j * COLUMN_BLOCK)
+        starts = self._row_starts()
+        # one draw v gives both the row offset v >> 1 and the sign bit v & 1
+        high = 2 * (self.d // self.zeta) if self.d % self.zeta == 0 else 2 * np.diff(starts)
+        v = np.random.default_rng([self.rng_seed, j]).integers(
+            0, high, size=(count, self.zeta), dtype=np.int32)
+        rows = v >> 1
+        rows += starts[:-1].astype(np.int32)
+        vals = (v & 1).astype(float)
+        vals *= -2 * self.scale  # exact: 0 or -2*scale, then +scale or -scale
+        vals += self.scale
+        return rows, vals
+
+    def apply(self, a, b: np.ndarray | None = None) -> np.ndarray:
+        """S @ a for a dense or sparse m x n a (or a dense length-m vector),
+        returned dense. Given b (length m) as well, [S @ a | S @ b] as one
+        d x (n+1) array, in one pass that draws S once.
+
+        A is read through its rows and, if sparse, its CSR arrays; no product
+        with A or A' is formed."""
         if a.shape[0] != self.m:
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
-        return self.matrix @ a
+        if b is not None and b.shape != (self.m,):
+            raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, b has shape {b.shape}")
+        sparse = sp.issparse(a)
+        a = a.tocsr() if sparse else np.asarray(a, dtype=float)
+        out = np.zeros((self.d, a.shape[1] + 1) if b is not None else (self.d,) + a.shape[1:])
+        sa, sb = (out[:, :-1], out[:, -1]) if b is not None else (out, None)
+        for j in range(-(-self.m // COLUMN_BLOCK)):
+            lo = j * COLUMN_BLOCK
+            rows, vals = self._column_block(j)
+            hi = lo + rows.shape[0]
+            if sparse:
+                self._scatter_csr(out, a, b, lo, hi, rows, vals)
+            else:
+                chunk = sp.csc_matrix(
+                    (vals.ravel(), rows.ravel(),
+                     np.arange(0, rows.size + 1, self.zeta, dtype=np.int32)),
+                    shape=(self.d, hi - lo))
+                sa += chunk @ a[lo:hi]
+                if b is not None:
+                    sb += chunk @ b[lo:hi]
+        return out
 
-    def apply_sparse(self, a: sp.spmatrix) -> np.ndarray:
-        """S @ a for a sparse m x n matrix, returned dense (d is small)."""
-        if a.shape[0] != self.m:
-            raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
-        return np.asarray((self.matrix @ a.tocsc()).todense())
+    def _scatter_csr(self, out, a, b, lo, hi, rows, vals) -> None:
+        """Add to out S's columns lo..hi-1 times rows lo..hi-1 of the CSR a
+        (and b, as the last column, if given). Row block k of S touches only
+        rows starts[k]..starts[k+1]-1 of out, so each row block is one
+        bincount over that slice."""
+        width = out.shape[1]
+        start, stop = a.indptr[lo], a.indptr[hi]
+        col = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
+        idx, val = a.indices[start:stop], a.data[start:stop]
+        if b is not None:
+            col = np.concatenate([col, np.arange(hi - lo)])
+            idx = np.concatenate([idx, np.full(hi - lo, width - 1, dtype=idx.dtype)])
+            val = np.concatenate([val, b[lo:hi]])
+        starts = self._row_starts()
+        # per row block, each column's offset into that block's slice of out
+        offsets = rows.T.astype(np.intp, order="C")
+        offsets -= starts[:-1, None]
+        offsets *= width
+        vals = np.ascontiguousarray(vals.T)
+        for k in range(self.zeta):
+            flat = np.take(offsets[k], col)
+            flat += idx
+            weight = np.take(vals[k], col)
+            weight *= val
+            block = out[starts[k]:starts[k + 1]]
+            block += np.bincount(flat, weight, minlength=block.size).reshape(block.shape)
 
 
 def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbedding:
-    """Construct a sparse sign embedding, deterministic for a given seed."""
+    """A sparse sign embedding, deterministic for a given seed. Nothing is
+    drawn until it is applied."""
     if d < 1 or m < 1:
         raise ValueError("d and m must be >= 1")
     if not 1 <= zeta <= d:
         raise ValueError(f"need 1 <= zeta <= d, got zeta={zeta}, d={d}")
-    rng = np.random.default_rng(rng_seed)
-    indices = _distinct_rows(d, m, zeta, rng).ravel()
-    scale = 1.0 / math.sqrt(zeta)
-    data = rng.choice(np.array([-scale, scale]), size=m * zeta)
-    indptr = zeta * np.arange(m + 1)
-    mat = sp.csc_matrix((data, indices, indptr), shape=(d, m))
-    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=scale, matrix=mat)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=1.0 / math.sqrt(zeta), rng_seed=rng_seed)
 
 
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:
@@ -95,7 +149,7 @@ def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:
     gram_err = np.linalg.norm(basis_q.T @ basis_q - np.eye(k))
     if gram_err > 1e-10:
         raise ValueError(f"basis is not orthonormal (||Q'Q - I|| = {gram_err:.2e})")
-    sv = svd_values(s.apply_dense(basis_q))
+    sv = svd_values(s.apply(basis_q))
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
     epsilon = max(sigma_max - 1.0, 1.0 - sigma_min)
     return DistortionReport(epsilon=epsilon, sigma_max=sigma_max, sigma_min=sigma_min)

@@ -15,8 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .embed import _distinct_rows
-
 
 @dataclass
 class Truth:
@@ -68,6 +66,29 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
     r = beta * p / np.linalg.norm(p)
     b = a @ x + r
     return LsProblem(a=a, b=b, truth=Truth(x=x, r=r, kappa=float(kappa), beta=float(beta)))
+
+
+def _has_repeat(idx: np.ndarray) -> np.ndarray:
+    """Per row of idx, whether it holds a value twice."""
+    srt = np.sort(idx, axis=1)
+    return np.any(srt[:, 1:] == srt[:, :-1], axis=1)
+
+
+def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.ndarray:
+    """zeta distinct uniform indices in [0, d) for each of m rows, shape (m, zeta).
+
+    Sampled by vectorized rejection: redraw only the rows whose draw
+    contains a repeat, and check only those again. For zeta << d almost no
+    redraws are needed.
+    """
+    if zeta == d:
+        return np.tile(np.arange(d), (m, 1))
+    idx = rng.integers(0, d, size=(m, zeta))
+    bad = np.flatnonzero(_has_repeat(idx))
+    while bad.size:
+        idx[bad] = rng.integers(0, d, size=(bad.size, zeta))
+        bad = bad[_has_repeat(idx[bad])]
+    return idx
 
 
 def gen_sparse(m: int, n: int, seed: int) -> LsProblem:

@@ -13,7 +13,6 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
 from .linalg import (
@@ -235,10 +234,11 @@ def _as_rhs(a, b) -> np.ndarray:
 
 
 def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """(SA, Sb), or a ValueError naming A or b if it holds a NaN or inf: each
-    reaches the d-row sketch, so no m-row temporary is scanned."""
-    sa = s.apply_sparse(a) if sp.issparse(a) else s.apply_dense(a)
-    sb = s.apply_dense(b)
+    """(SA, Sb), views of one [SA | Sb] drawn in a single pass over A and b,
+    or a ValueError naming A or b if it holds a NaN or inf: each reaches the
+    d-row sketch, so no m-row temporary is scanned."""
+    sab = s.apply(a, b)
+    sa, sb = sab[:, :-1], sab[:, -1]
     for name, sketched in (("A", sa), ("b", sb)):
         if not np.isfinite(sketched).all():
             raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
@@ -432,7 +432,10 @@ def bad_variant(
         try:
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
         except np.linalg.LinAlgError:
-            gram_solve = partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram))
+            # a singular Gram matrix gives a zero pivot and a non-finite x0;
+            # the divergence guard reports it instead of lu_solve raising
+            gram_solve = partial(
+                scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram), check_finite=False)
         x0 = gram_solve(sa.T @ sb)
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
         gram_sv = svd_values(gram)

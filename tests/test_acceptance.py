@@ -125,7 +125,7 @@ def test_criterion_04_singular_value_bounds():
         s = sparse_sign_new(500, 1000, 8, seed)
         basis = np.linalg.qr(p.a, mode="reduced")[0]
         eps = measure_distortion(s, basis).epsilon
-        r_fac = householder_qr_econ(s.apply_dense(p.a)).r
+        r_fac = householder_qr_econ(s.apply(p.a)).r
         sv_a = svd_values(p.a)
         slack = 1 + 1e-8
         if svd_values(r_fac)[0] > (1 + eps) * sv_a[0] * slack:

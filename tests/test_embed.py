@@ -8,24 +8,32 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from itsketch import SolverConfig, gen_sparse, iterative_sketching
 from itsketch.embed import (
-    _distinct_rows,
+    COLUMN_BLOCK,
     choose_dim,
     default_distortion,
     measure_distortion,
     sparse_sign_new,
 )
 from itsketch.linalg import lambert_w0, svd_values
-from reference import householder_qr_econ
+from itsketch.problems import _distinct_rows
+from reference import householder_qr_econ, osnap_sparse_sign
+
+MIB = 2**20
 
 
 def densify(s):
-    return np.asarray(s.matrix.todense())
+    """S as a dense d x m matrix, applied to a sparse identity (exact: each
+    entry of the product is one entry of S)."""
+    return s.apply(sp.identity(s.m, format="csr"))
 
 
 def rows_and_signs(s):
-    """(m, zeta) row indices and +-1 signs per column, read from the CSC matrix."""
-    return s.matrix.indices.reshape(s.m, s.zeta), np.sign(s.matrix.data).reshape(s.m, s.zeta)
+    """(m, zeta) row indices, ascending per column, and +-1 signs of S."""
+    dense = densify(s).T
+    rows = np.nonzero(dense)[1].reshape(s.m, s.zeta)
+    return rows, np.sign(np.take_along_axis(dense, rows, axis=1))
 
 
 def _distinct_rows_resort_all(d, m, zeta, rng):
@@ -40,14 +48,15 @@ def _distinct_rows_resort_all(d, m, zeta, rng):
         idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
 
 
-def _sparse_sign_reference(d, m, zeta, seed):
-    """CSC arrays of S as built before data was drawn directly as
-    +-scale: (data, indices, indptr)."""
-    rng = np.random.default_rng(seed)
-    rows = _distinct_rows(d, m, zeta, rng)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=(m, zeta))
-    data = (signs * (1.0 / math.sqrt(zeta))).ravel()
-    return data, rows.ravel(), zeta * np.arange(m + 1)
+def _solve_peak(a, b, cfg):
+    """Bytes a solve allocates at its peak, above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        iterative_sketching(a, b, cfg)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class _DenseGaussian:
@@ -56,7 +65,7 @@ class _DenseGaussian:
     def __init__(self, d, m, seed):
         self.mat = np.random.default_rng(seed).standard_normal((d, m)) / math.sqrt(d)
 
-    def apply_dense(self, a):
+    def apply(self, a):
         return self.mat @ a
 
 
@@ -83,9 +92,23 @@ class TestSparseSignNew:
         assert np.all(np.abs(signs) == 1.0)
         assert s.scale == pytest.approx(1 / math.sqrt(6))
 
+    @pytest.mark.parametrize("d,zeta", [(1003, 8), (3000, 8), (25, 6), (10, 9), (7, 7)])
+    def test_one_row_in_each_block(self, d, zeta):
+        # blocks of floor(d/zeta) and ceil(d/zeta) rows, starting at (k*d)//zeta
+        s = sparse_sign_new(d, 300, zeta, 4)
+        rows, _ = rows_and_signs(s)
+        starts = (np.arange(zeta + 1) * d) // zeta
+        assert set(np.diff(starts)) <= {d // zeta, -(-d // zeta)}
+        for k in range(zeta):
+            assert np.all((starts[k] <= rows[:, k]) & (rows[:, k] < starts[k + 1]))
+
     def test_zeta_larger_than_d_rejected(self):
         with pytest.raises(ValueError):
             sparse_sign_new(d=3, m=5, zeta=4, rng_seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sparse_sign_new(d=10, m=5, zeta=4, rng_seed=-1)
 
     def test_deterministic(self):
         s1 = sparse_sign_new(20, 30, 4, rng_seed=7)
@@ -93,7 +116,8 @@ class TestSparseSignNew:
         (rows1, signs1), (rows2, signs2) = rows_and_signs(s1), rows_and_signs(s2)
         assert np.array_equal(rows1, rows2) and np.array_equal(signs1, signs2)
 
-    # (20, 5000, 8) and (10, 3000, 9) need many redraw rounds
+    # gen_sparse's column sampler, in problems.py; (20, 5000, 8) and
+    # (10, 3000, 9) need many redraw rounds
     @pytest.mark.parametrize("d,m,zeta", [(3, 500, 2), (20, 5000, 8), (10, 3000, 9), (400, 20000, 8)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_distinct_rows_matches_resort_all(self, d, m, zeta, seed):
@@ -102,14 +126,11 @@ class TestSparseSignNew:
         assert np.array_equal(idx, _distinct_rows_resort_all(d, m, zeta, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_stored_once(self):
+    def test_holds_no_array(self):
         s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
-        assert not any(isinstance(v, np.ndarray) for v in vars(s).values())
-        rows, signs = rows_and_signs(s)
-        assert np.shares_memory(rows, s.matrix.indices)
+        assert not any(isinstance(v, np.ndarray) or sp.issparse(v) for v in vars(s).values())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.matrix = None
-        np.testing.assert_array_equal(signs * s.scale, s.matrix.data.reshape(40, 6))
+            s.rng_seed = 3
 
     @pytest.mark.parametrize(
         "d,m,zeta,seed",
@@ -118,22 +139,17 @@ class TestSparseSignNew:
     )
     def test_matches_reference_construction(self, d, m, zeta, seed):
         s = sparse_sign_new(d, m, zeta, seed)
-        data, indices, indptr = _sparse_sign_reference(d, m, zeta, seed)
-        assert np.array_equal(s.matrix.data, data)
-        assert np.array_equal(s.matrix.indices, indices)
-        assert np.array_equal(s.matrix.indptr, indptr)
+        ref = osnap_sparse_sign(d, m, zeta, seed, COLUMN_BLOCK)
+        assert np.array_equal(densify(s), ref)
+        if m <= 400:
+            assert np.array_equal(s.apply(np.eye(m)), ref)
 
-    def test_build_peak_memory(self):
-        # S keeps 19.1 MiB at this size; building it with a float64 sign
-        # array and its scaled copy alive at once peaked at 45 MiB
-        tracemalloc.start()
-        try:
-            s = sparse_sign_new(3000, 200_000, 8, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert s.matrix.nnz == 1_600_000
-        assert peak < 40 * 2**20
+    def test_prefix_property(self):
+        # the first m columns of S do not depend on m, across column blocks
+        m_long = 3 * COLUMN_BLOCK + 100
+        long = densify(sparse_sign_new(40, m_long, 8, 9))
+        for m in (1, COLUMN_BLOCK - 1, COLUMN_BLOCK, COLUMN_BLOCK + 1, 2 * COLUMN_BLOCK + 5):
+            assert np.array_equal(densify(sparse_sign_new(40, m, 8, 9)), long[:, :m])
 
     def test_monte_carlo_isotropy(self):
         # Entrywise average of S'S over 500 seeds approximates the identity.
@@ -146,56 +162,97 @@ class TestSparseSignNew:
         assert np.max(np.abs(acc - np.eye(m))) <= 0.1
 
 
+class TestStreamedPeakMemory:
+    # a whole solve never holds S, which at d=3000, m=2e5 and zeta=8 takes
+    # 19.1 MiB as a CSC matrix
+    def test_sparse_solve(self):
+        p = gen_sparse(200_000, 100, 0)
+        assert _solve_peak(p.a, p.b, SolverConfig(d=3000, max_iters=100)) < 15 * MIB
+
+    def test_dense_solve(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((100_000, 100))
+        b = rng.standard_normal(100_000)
+        assert _solve_peak(a, b, SolverConfig(d=3000, max_iters=100)) < 10 * MIB
+
+
 class TestApply:
     def test_apply_dense_zero(self):
         s = sparse_sign_new(10, 20, 3, 0)
-        assert np.all(s.apply_dense(np.zeros((20, 4))) == 0)
+        assert np.all(s.apply(np.zeros((20, 4))) == 0)
 
     def test_apply_dense_basis_column(self):
         s = sparse_sign_new(30, 50, 3, 1)
         e3 = np.zeros((50, 1))
         e3[3, 0] = 1.0
-        np.testing.assert_array_equal(s.apply_dense(e3)[:, 0], densify(s)[:, 3])
+        np.testing.assert_array_equal(s.apply(e3)[:, 0], densify(s)[:, 3])
 
     def test_apply_dense_matches_materialized(self):
         s = sparse_sign_new(30, 50, 3, 2)
         a = np.random.default_rng(3).standard_normal((50, 5))
-        np.testing.assert_allclose(s.apply_dense(a), densify(s) @ a, atol=1e-15)
+        np.testing.assert_allclose(s.apply(a), densify(s) @ a, atol=1e-15)
 
     def test_apply_vec(self):
         s = sparse_sign_new(15, 25, 4, 4)
-        assert np.all(s.apply_dense(np.zeros(25)) == 0)
+        assert np.all(s.apply(np.zeros(25)) == 0)
         e7 = np.zeros(25)
         e7[7] = 1.0
-        np.testing.assert_array_equal(s.apply_dense(e7), densify(s)[:, 7])
+        np.testing.assert_array_equal(s.apply(e7), densify(s)[:, 7])
 
     def test_apply_sparse_matches_densified(self):
         s = sparse_sign_new(20, 40, 3, 5)
         rng = np.random.default_rng(6)
         a = sp.random(40, 6, density=0.2, random_state=rng, format="csr")
         np.testing.assert_allclose(
-            s.apply_sparse(a), s.apply_dense(np.asarray(a.todense())), atol=1e-15
+            s.apply(a), s.apply(np.asarray(a.todense())), atol=1e-15
         )
+
+    @pytest.mark.parametrize("m", [300, 2 * COLUMN_BLOCK + 300])
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_sketch_with_rhs_matches_densified(self, fmt, m):
+        # [SA | Sb] in one streamed pass, against S densified (s.apply(I) for
+        # one column block; the reference builder across several, where I
+        # would not fit) times [A | b]
+        n = 6
+        rng = np.random.default_rng(7)
+        a = sp.random(m, n, density=0.3, random_state=rng, format="csr")
+        b = rng.standard_normal(m)
+        s = sparse_sign_new(64, m, 8, 11)
+        dense_s = s.apply(np.eye(m)) if m <= COLUMN_BLOCK else osnap_sparse_sign(
+            64, m, 8, 11, COLUMN_BLOCK)
+        ref = dense_s @ np.column_stack([a.toarray(), b])
+        sab = s.apply(a if fmt == "csr" else a.toarray(), b)
+        assert sab.shape == (64, n + 1)
+        np.testing.assert_allclose(sab, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_sparse_path_equals_dense_path_on_gen_sparse(self):
+        # +-1 entries and sums taken in the same column order: bitwise equal
+        p = gen_sparse(3 * COLUMN_BLOCK + 7, 10, 2)
+        s = sparse_sign_new(1003, p.a.shape[0], 8, 3)
+        assert np.array_equal(s.apply(p.a, p.b), s.apply(p.a.toarray(), p.b))
+        assert np.array_equal(s.apply(p.a), s.apply(p.a.toarray()))
 
     def test_dimension_mismatch(self):
         s = sparse_sign_new(10, 20, 3, 0)
         with pytest.raises(ValueError):
-            s.apply_dense(np.ones((21, 2)))
+            s.apply(np.ones((21, 2)))
+        with pytest.raises(ValueError):
+            s.apply(np.ones((20, 2)), np.ones(21))
 
     def test_right_multiplication_associativity(self):
         s = sparse_sign_new(25, 60, 4, 8)
         rng = np.random.default_rng(9)
         a = rng.standard_normal((60, 5))
         c = rng.standard_normal((5, 3))
-        lhs = s.apply_dense(a @ c)
-        rhs = s.apply_dense(a) @ c
+        lhs = s.apply(a @ c)
+        rhs = s.apply(a) @ c
         assert np.linalg.norm(lhs - rhs) <= 1e-14 * max(1.0, np.linalg.norm(rhs))
 
 
 class _IdentityEmbedding:
     """Exact isometry test double."""
 
-    def apply_dense(self, a):
+    def apply(self, a):
         return a
 
 
@@ -238,7 +295,7 @@ class TestFact23Chain:
         s = sparse_sign_new(400, m, 8, 1)
         q = householder_qr_econ(a).q
         eps = measure_distortion(s, q).epsilon
-        r = householder_qr_econ(s.apply_dense(a)).r
+        r = householder_qr_econ(s.apply(a)).r
         sv_a, sv_r = svd_values(a), svd_values(r)
         assert sv_r[0] <= (1 + eps) * sv_a[0] * (1 + 1e-10)
         assert sv_r[-1] >= (1 - eps) * sv_a[-1] * (1 - 1e-10)

@@ -32,11 +32,13 @@ def test_all_is_pinned():
 
 
 def test_sparse_sign_embedding_fields():
-    # S is held once, as its CSC matrix; nothing else is stored
+    # S is drawn from its seed whenever it is applied; no array is stored,
+    # and one method applies it
     assert [f.name for f in dataclasses.fields(SparseSignEmbedding)] == [
-        "d", "m", "zeta", "scale", "matrix",
+        "d", "m", "zeta", "scale", "rng_seed",
     ]
-    assert not {"rows", "signs", "apply_vec"} & set(dir(SparseSignEmbedding))
+    assert not {"matrix", "rows", "signs", "apply_vec", "apply_dense", "apply_sparse"} & set(
+        dir(SparseSignEmbedding))
 
 
 def test_solver_config_fields():

@@ -1,5 +1,7 @@
 """Unit tests for problem generation and CSV ingestion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.special
@@ -97,6 +99,22 @@ class TestGenSparse:
         # distinct, strictly increasing column indices within each row
         idx = a.indices.reshape(500, 3)
         assert np.all(idx[:, 1:] > idx[:, :-1])
+
+    # sha256 of data, indices, indptr and b, in that order: the instances,
+    # the benchmark's `sparse` one at workload seed 7 last, must not move
+    @pytest.mark.parametrize("m,n,seed,digest", [
+        (1000, 3, 1, "9e8f35992a800de77e6b7739f115d063ead7593b8899fa33119eca8e7608ec59"),
+        (1000, 10, 1, "5b15fe8322ad87a74516e541f48809554b27012d3ed51113ab766f9017e12349"),
+        (1000, 100, 1, "a25297e1a7b24321379a68e0078f41f8384a733f5606426b39f14f0d6e9a59ea"),
+        (20_000, 10, 2, "52f3635299a713c55ba7c1b509c76fa964d3eb7cce52a612d6272db666ce4dee"),
+        (200_000, 100, 7, "d4ea0244661e007470d9fec251de17de73302ec7c69a6ae2f24fffebcf4ce05b"),
+    ])
+    def test_bitwise_pinned(self, m, n, seed, digest):
+        p = gen_sparse(m, n, seed)
+        h = hashlib.sha256()
+        for arr in (p.a.data, p.a.indices, p.a.indptr, p.b):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
 
     def test_n_too_small_raises(self):
         with pytest.raises(ValueError):
