@@ -47,10 +47,16 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    m, n = a.shape
+    return _qr_solve_joined(np.column_stack([a, b]))
+
+
+def _qr_solve_joined(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qr_solve(a, b) given the joined m x (n+1) array [a | b], which it
+    reads without copying; LAPACK works on its own copy."""
+    m, n = ab.shape[0], ab.shape[1] - 1
     if m < n:
         raise ValueError(f"need m >= n, got {m} x {n}")
-    r_aug = np.linalg.qr(np.column_stack([a, b]), mode="r")
+    r_aug = np.linalg.qr(ab, mode="r")
     signs = np.sign(np.diag(r_aug)[:n])
     signs[signs == 0] = 1.0
     r = signs[:, None] * r_aug[:n, :n]

@@ -17,7 +17,7 @@ import scipy.linalg
 from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
 from .linalg import (
     SingularMatrixError,
-    qr_solve,
+    _qr_solve_joined,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -69,10 +69,13 @@ class SolveTrace:
     """What a solve records per iteration: n-length iterates and scalars.
 
     No m-length vector is kept; the residual of iterate i is
-    ``b - a @ iterates[i]``, bit for bit what the solver computed.
-    ``residual_changes[i]`` is ||r_{i+1} - r_i||. ``stop_thresholds[i]`` is
-    the stopping-rule right-hand side it was compared to; it stays empty
-    for sketch-and-precondition, which LSQR's own tolerance ends.
+    ``b - a @ iterates[i]``, bit for bit what the solver computed where it
+    formed one. ``residual_changes[i]`` is ||r_{i+1} - r_i||: measured on the
+    formed residuals for iterative sketching, and LSQR's |phi_{i+1}| for
+    sketch-and-precondition, which forms b - Ax only to take FE and RE
+    against a given truth. ``stop_thresholds[i]`` is the stopping-rule
+    right-hand side it was compared to; it stays empty for
+    sketch-and-precondition, which LSQR's own tolerance ends.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -233,16 +236,15 @@ def _as_rhs(a, b) -> np.ndarray:
     return b
 
 
-def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """(SA, Sb), views of one [SA | Sb] drawn in a single pass over A and b,
+def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> np.ndarray:
+    """The d x (n+1) array [SA | Sb], drawn in a single pass over A and b,
     or a ValueError naming A or b if it holds a NaN or inf: each reaches the
     d-row sketch, so no m-row temporary is scanned."""
     sab = s.apply(a, b)
-    sa, sb = sab[:, :-1], sab[:, -1]
-    for name, sketched in (("A", sa), ("b", sb)):
+    for name, sketched in (("A", sab[:, :-1]), ("b", sab[:, -1])):
         if not np.isfinite(sketched).all():
             raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
-    return sa, sb
+    return sab
 
 
 def sketch_and_solve(
@@ -254,7 +256,7 @@ def sketch_and_solve(
     A wrong-length b or a non-finite A or b raises ValueError; a singular R,
     SingularMatrixError.
     """
-    return qr_solve(*_sketch(a, _as_rhs(a, b), s))
+    return _qr_solve_joined(_sketch(a, _as_rhs(a, b), s))
 
 
 def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
@@ -314,7 +316,8 @@ def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[
 
 
 def _record(
-    trace: SolveTrace, b: np.ndarray, x: np.ndarray, r: np.ndarray, truth: Truth | None
+    trace: SolveTrace, b: np.ndarray, x: np.ndarray, r: np.ndarray | None,
+    truth: Truth | None,
 ) -> None:
     trace.iterates.append(x)
     if truth is not None:
@@ -427,7 +430,8 @@ def bad_variant(
         return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        sa, sb = _sketch(a, b, _new_sketch(a, cfg))
+        sab = _sketch(a, b, _new_sketch(a, cfg))
+        sa, sb = sab[:, :-1], sab[:, -1]
         gram = sa.T @ sa
         try:
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
@@ -461,8 +465,13 @@ def lsqr(
 
     The preconditioner is applied through triangular solves; R^-1 is never
     formed. Stops at max_iters or when the normal-equation residual estimate
-    ||Op' r|| / (||Op|| ||r||) falls to rtol. callback(z) runs once per
-    iteration.
+    ||Op' r|| / (||Op|| ||r||) falls to rtol. callback(z, change) runs once
+    per iteration k with change = |phi_k| from the recurrence, which is
+    ||r_k - r_{k-1}|| in exact arithmetic: r_k is orthogonal to Op K_k, so
+    ||r_{k-1}||^2 = ||r_k||^2 + ||r_k - r_{k-1}||^2, and with
+    ||r_k|| = phibar_k = s_k phibar_{k-1} that gives |c_k| phibar_{k-1}.
+    No residual is formed for it; in floating point it keeps falling where a
+    formed b - Ax levels off at its rounding error.
     """
     precond_r = np.asarray(precond_r, dtype=float)
     if np.any(np.diag(precond_r) == 0.0):
@@ -513,7 +522,7 @@ def lsqr(
         w = v - (theta / rho) * w
         iters += 1
         if callback is not None:
-            callback(z)
+            callback(z, abs(phi))
         # ||Op' r|| = phibar * alpha * |c|; relative to ||Op|| ||r||
         normar = phibar * alpha * abs(c)
         if phibar == 0.0 or normar <= rtol * math.sqrt(anorm2) * phibar:
@@ -525,20 +534,23 @@ def sketch_and_precondition(
     a, b: np.ndarray, cfg: SolverConfig, truth: Truth | None = None
 ) -> SolveResult:
     """Sketch, QR-factorize the sketch, then run LSQR on A right-preconditioned
-    by the R factor, starting from the sketch-and-solve or zero iterate."""
+    by the R factor, starting from the sketch-and-solve or zero iterate.
+
+    The trace's residual changes are LSQR's own |phi_k| (see lsqr); b - Ax
+    is formed only for the errors against truth, so without truth each step
+    makes two products with A or A', not three."""
     b = _as_rhs(a, b)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
-    r_prev = b - a @ x0
-    _record(trace, b, x0, r_prev, truth)
 
-    def on_iterate(z: np.ndarray) -> None:
-        nonlocal r_prev
-        xk = x0 + tri_solve_upper(r_fac, z)
-        rk = b - a @ xk
-        trace.residual_changes.append(float(np.linalg.norm(rk - r_prev)))
-        _record(trace, b, xk, rk, truth)
-        r_prev = rk
+    def record(x: np.ndarray) -> None:
+        _record(trace, b, x, None if truth is None else b - a @ x, truth)
+
+    def on_iterate(z: np.ndarray, change: float) -> None:
+        trace.residual_changes.append(change)
+        record(x0 + tri_solve_upper(r_fac, z))
+
+    record(x0)
 
     x, iters = lsqr(
         a, b, x0, r_fac, max_iters=cfg.max_iters,

@@ -1,12 +1,14 @@
 """Unit tests for the dense linear-algebra kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from itsketch.linalg import (
     SingularMatrixError,
+    _qr_solve_joined,
     lambert_w0,
     qr_solve,
     svd_values,
@@ -96,6 +98,21 @@ class TestQrSolve:
             qr_solve(np.ones((3, 5)), np.ones(3))
         with pytest.raises(ValueError):
             qr_solve(np.ones(3), np.ones(3))
+
+    def test_joined_input_read_in_place(self):
+        # the sketch-and-solve step holds [SA | Sb] as one array; its QR
+        # makes LAPACK's working copy and no other
+        ab = np.random.default_rng(11).standard_normal((3000, 101))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            x, r = _qr_solve_joined(ab)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top - base <= 1.1 * ab.nbytes
+        x_ref, r_ref = qr_solve(ab[:, :-1], ab[:, -1])
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 
 
 class TestTriangularSolves:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
@@ -22,7 +23,7 @@ from itsketch.linalg import (
     tri_solve_upper_transpose,
 )
 from itsketch.metrics import forward_error
-from itsketch.problems import gen_randsvd, gen_sparse
+from itsketch.problems import Truth, gen_randsvd, gen_sparse
 import itsketch.solvers
 from itsketch.solvers import (
     STAG_WINDOW,
@@ -430,7 +431,7 @@ class TestLsqr:
         qr = householder_qr_econ(p.a)
         errs = []
 
-        def cb(z):
+        def cb(z, change):
             xk = np.zeros(20) + tri_solve_upper(qr.r, z)
             errs.append(np.linalg.norm((p.b - p.a @ xk) - p.truth.r))
 
@@ -488,6 +489,61 @@ class TestSketchAndPrecondition:
         assert cut.trace.stop_reason == "max_iters"
         assert cut.iterations == 5
 
+    @staticmethod
+    def _problem(dense):
+        """A problem with a truth to pass: gen_sparse plants none, so it
+        gets a stand-in that only FE and RE read."""
+        if dense:
+            p = gen_randsvd(800, 12, 1e6, 1e-3, 3)
+            return p, p.truth
+        p = gen_sparse(3000, 12, 3)
+        return p, Truth(x=np.ones(12), r=p.b, kappa=1.0, beta=0.0)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_products_with_a(self, dense):
+        p, given = self._problem(dense)
+        cfg = SolverConfig(d=240, max_iters=25, rng_seed=3)
+        for truth, per_step in ((None, 2), (given, 3)):
+            a = _counted(p.a)
+            res = sketch_and_precondition(a, p.b, cfg, truth)
+            assert res.iterations > 0
+            assert a.products[0] == per_step * (1 + res.iterations)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_truth_changes_only_the_errors(self, dense):
+        p, truth = self._problem(dense)
+        cfg = SolverConfig(d=240, max_iters=25, rng_seed=3)
+        bare, traced = (sketch_and_precondition(p.a, p.b, cfg, t) for t in (None, truth))
+        assert np.array_equal(bare.solution, traced.solution)
+        assert _same_iterates(bare.trace.iterates, traced.trace.iterates)
+        assert bare.trace.residual_changes == traced.trace.residual_changes
+        assert bare.trace.fe == bare.trace.re == []
+        assert len(traced.trace.fe) == len(traced.trace.iterates)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_residual_changes_match_formed_residuals(self, dense):
+        # LSQR's |phi_k| against ||r_k - r_{k-1}|| formed from the iterates,
+        # wherever that change is well above the rounding error of forming
+        # b - Ax, below which the formed change levels off and |phi_k| falls
+        # on. On the dense instance the formed change levels off at 1e-14 to
+        # 1.5e-14, about 100 times u(||b|| + normest ||x||) = 1.3e-16, so the
+        # comparison starts a further factor 10 above that.
+        if dense:
+            p, cfg = gen_randsvd(4000, 50, 1e10, 1e-6, 0), SolverConfig(d=1000, max_iters=60)
+        else:
+            p, cfg = gen_sparse(20_000, 20, 0), SolverConfig(d=400, max_iters=60)
+        tr = sketch_and_precondition(p.a, p.b, cfg).trace
+        assert len(tr.residual_changes) == len(tr.iterates) - 1 > 0
+        norm_b = np.linalg.norm(p.b)
+        compared = 0
+        for i, change in enumerate(tr.residual_changes):
+            x_next = tr.iterates[i + 1]
+            formed = np.linalg.norm((p.b - p.a @ x_next) - (p.b - p.a @ tr.iterates[i]))
+            if formed > 1000 * U * (norm_b + tr.normest * np.linalg.norm(x_next)):
+                compared += 1
+                assert abs(change - formed) <= 1e-2 * formed
+        assert compared >= 5
+
     @pytest.mark.parametrize("beta", [1e-3, 0.0])
     def test_solution_is_last_traced_iterate(self, beta):
         p = gen_randsvd(600, 12, 1e4, beta, 2)
@@ -498,6 +554,50 @@ class TestSketchAndPrecondition:
         r = p.b - p.a @ res.solution
         re = np.linalg.norm(p.truth.r - r) / beta if beta > 0 else np.linalg.norm(r) / np.linalg.norm(p.b)
         assert res.trace.re[-1] == float(re)
+
+
+class _CountedDense(np.ndarray):
+    """View of a dense A that counts its products A @ x; A.T is a view of
+    the same class, so A' @ y is counted too."""
+
+    def __array_finalize__(self, obj) -> None:
+        self.products = getattr(obj, "products", None)
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return np.matmul(self.view(np.ndarray), other)
+
+
+class _CountedCsr(sp.csr_matrix):
+    """Sparse A that counts its products A @ x and, through .T, A' @ y."""
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return super().__matmul__(other)
+
+    @property
+    def T(self):
+        return _CountedCsc(self.transpose(), products=self.products)
+
+
+class _CountedCsc(sp.csc_matrix):
+    def __init__(self, arg, products):
+        super().__init__(arg)
+        self.products = products
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return super().__matmul__(other)
+
+
+def _counted(a):
+    """A that counts its products with A or A' in ``a.products[0]``."""
+    if sp.issparse(a):
+        counted = _CountedCsr(a)
+    else:
+        counted = np.asarray(a).view(_CountedDense)
+    counted.products = [0]
+    return counted
 
 
 def _held_arrays(obj):
@@ -515,13 +615,13 @@ _SOLVES = {
     "basic": lambda a, b, cfg: iterative_sketching(a, b, cfg),
     "momentum": lambda a, b, cfg: iterative_sketching(a, b, replace(cfg, variant="momentum")),
     "bad_residual": lambda a, b, cfg: bad_variant(a, b, cfg, "bad_residual"),
-    "sp": lambda a, b, cfg: sketch_and_precondition(a, b, cfg),
 }
 
 
 class TestTraceMemory:
     """A trace holds n-length iterates and scalars only; residuals are
-    recovered as b - A x_i."""
+    recovered as b - A x_i. Sketch-and-precondition's residual changes come
+    from LSQR, not from formed residuals: TestSketchAndPrecondition."""
 
     @pytest.mark.parametrize("solve", sorted(_SOLVES))
     @pytest.mark.parametrize("dense", [True, False])
