@@ -28,7 +28,7 @@ from .problems import (
     save_csv,
 )
 from .solvers import (
-    _EPS_BASIC_MAX,
+    RateHypothesisError,
     SolverConfig,
     _errors,
     bad_variant,
@@ -141,15 +141,20 @@ def cmd_convergence(args) -> int:
         prob = gen_randsvd(args.m, args.n, kappa, beta, seed)
         cfg = _solver_cfg(args, args.m, args.n, seed=seed)
         res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
-        eps = default_distortion(args.n, cfg.d)
-        bounds = None
-        if args.variant == "basic" and eps < _EPS_BASIC_MAX:
-            bounds = theoretical_bound_curve(
-                "basic", eps, prob.truth.kappa, 1.0, prob.truth.beta, len(res.trace.iterates)
+        # the momentum bound is stated from iteration 2 on; earlier rows get nan
+        first = 2 if args.variant == "momentum" else 0
+        try:
+            fe_bound, re_bound = theoretical_bound_curve(
+                args.variant, default_distortion(args.n, cfg.d), prob.truth.kappa, 1.0,
+                prob.truth.beta, len(res.trace.iterates), first_iter=first,
             )
+        except RateHypothesisError:  # eps outside the variant's hypothesis: no bound
+            bounds = None
+        else:
             # bounds are absolute; traces are relative
-            bounds = (bounds[0] / np.linalg.norm(prob.truth.x),
-                      bounds[1] / max(prob.truth.beta, np.finfo(float).tiny))
+            pad = np.full(first, np.nan)
+            bounds = (np.concatenate([pad, fe_bound / np.linalg.norm(prob.truth.x)]),
+                      np.concatenate([pad, re_bound / max(prob.truth.beta, np.finfo(float).tiny)]))
         out = _trace_rows(args, prob, f"is_{args.variant}", kappa, beta, res, bounds)
         xqr = qr_solve(prob.a, prob.b)[0]
         fe, re = _errors(prob.truth, prob.b, xqr, prob.b - prob.a @ xqr)
@@ -273,7 +278,7 @@ def _add_solver_flags(p: _Parser, variant: bool = True, accuracy: bool = True,
     p.add_argument("--d", default="auto", help='embedding dimension (an integer >= n) or "auto"')
     p.add_argument("--zeta", type=int, default=8)
     if variant:
-        p.add_argument("--variant", choices=["basic", "damped", "momentum"], default="basic")
+        p.add_argument("--variant", choices=["basic", "damped", "momentum"], default="momentum")
     p.add_argument("--max-iters", type=int, default=100)
     if seeds:
         p.add_argument("--seed", type=int, nargs="+", default=[0])

@@ -161,7 +161,7 @@ def default_distortion(n: int, d: int) -> float:
     return math.sqrt(n / d)
 
 
-def choose_dim(m: int, n: int, accuracy_u: float, variant: str = "basic") -> int:
+def choose_dim(m: int, n: int, accuracy_u: float, variant: str) -> int:
     """Embedding dimension balancing sketch-factorization cost against
     iteration cost, with floors guaranteeing a convergent scheme.
 

@@ -45,7 +45,7 @@ class RateHypothesisError(ValueError):
 class SolverConfig:
     d: int
     zeta: int = 8
-    variant: str = "basic"  # basic | damped | momentum
+    variant: str = "momentum"  # basic | damped | momentum
     init: str = "sketch_and_solve"  # sketch_and_solve | zero
     max_iters: int = 50
     rng_seed: int = 0
@@ -60,6 +60,10 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant != "basic" and self.d == n:
+            raise ValueError(
+                f"variant {self.variant!r} needs d > n={n}: its parameters take eps = sqrt(n/d) < 1"
+            )
         if self.init not in ("sketch_and_solve", "zero"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -417,6 +421,10 @@ def bad_variant(
     right-hand side in the unstable order A'b - A'(Ax). bad_init: the stable
     iteration started from zero. Divergence is a reportable outcome, not an
     error.
+
+    Each takes its update coefficients from cfg.variant like the stable
+    solver, so with the default config it runs the momentum iteration; the
+    paper demonstrates the baselines on the basic one (variant="basic").
     """
     b = _as_rhs(a, b)
 

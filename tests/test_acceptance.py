@@ -11,6 +11,9 @@ it fires at 57/52/50 for seeds 0/1/2 (77 for seed 3). The test therefore
 gives it the iteration budget that its own exact-arithmetic bound guarantees
 (61-90 over seeds 0-7 on that corner). The momentum variant contracts at
 g = eps and keeps a fixed budget of 50 (it fires in 6-27 iterations).
+
+One further test holds the momentum variant, the default, to criterion 01's
+forward-stability bound on criterion 01's grid; it prints no criterion line.
 """
 
 import math
@@ -67,7 +70,7 @@ def test_criterion_01_forward_stability_vs_qr():
         for beta in (1e-12, 1e-3):
             for seed in SEEDS:
                 p = gen_randsvd(4000, 50, kappa, beta, seed)
-                cfg = SolverConfig(d=1000, zeta=8, max_iters=100, rng_seed=seed)
+                cfg = SolverConfig(d=1000, variant="basic", zeta=8, max_iters=100, rng_seed=seed)
                 res = iterative_sketching(p.a, p.b, cfg, p.truth)
                 fe_is, re_is = res.trace.fe[-1], res.trace.re[-1]
                 fe_qr, re_qr = rel_errors(p, qr_solve(p.a, p.b))
@@ -78,9 +81,24 @@ def test_criterion_01_forward_stability_vs_qr():
     report(1, ok, f"worst FE/RE ratio vs QR {worst:.3g} (limit 10), runtime {elapsed:.1f}s")
 
 
+def test_momentum_forward_stability_on_criterion_01_grid():
+    # criterion 01's grid and bound, for the momentum variant (the default)
+    for kappa in (1e1, 1e10):
+        for beta in (1e-12, 1e-3):
+            for seed in SEEDS:
+                p = gen_randsvd(4000, 50, kappa, beta, seed)
+                cfg = SolverConfig(
+                    d=1000, zeta=8, variant="momentum", max_iters=100, rng_seed=seed
+                )
+                res = iterative_sketching(p.a, p.b, cfg, p.truth)
+                fe_qr, re_qr = rel_errors(p, qr_solve(p.a, p.b))
+                assert res.trace.fe[-1] <= 10 * fe_qr, (kappa, beta, seed)
+                assert res.trace.re[-1] <= 10 * re_qr, (kappa, beta, seed)
+
+
 def test_criterion_02_geometric_rate():
     p = gen_randsvd(2000, 50, 1e2, 1e-3, 0)
-    cfg = SolverConfig(d=1000, max_iters=12, rng_seed=1)
+    cfg = SolverConfig(d=1000, variant="basic", max_iters=12, rng_seed=1)
     res = iterative_sketching(p.a, p.b, cfg, p.truth)
     s = sparse_sign_new(1000, 2000, 8, 1)
     basis = np.linalg.qr(np.column_stack([p.a, p.b]), mode="reduced")[0]
@@ -141,13 +159,13 @@ def test_criterion_05_bad_variants():
     ok = True
     for seed in SEEDS:
         p = gen_randsvd(4000, 50, 1e10, 1e-6, seed)
-        cfg = SolverConfig(d=1000, max_iters=30, rng_seed=seed)
+        cfg = SolverConfig(d=1000, variant="basic", max_iters=30, rng_seed=seed)
         bm = bad_variant(p.a, p.b, cfg, "bad_matrix", p.truth)
         growth = max(bm.trace.fe) / bm.trace.fe[0]
         growths.append(growth)
         ok &= growth >= 1e3
 
-        long_cfg = SolverConfig(d=1000, max_iters=250, rng_seed=seed)
+        long_cfg = SolverConfig(d=1000, variant="basic", max_iters=250, rng_seed=seed)
         stable = iterative_sketching(p.a, p.b, long_cfg, p.truth)
         br = bad_variant(p.a, p.b, long_cfg, "bad_residual", p.truth)
         plateau_ratio = min(br.trace.fe) / stable.trace.fe[-1]
@@ -170,13 +188,14 @@ def test_criterion_06_sketch_and_precondition():
     fe_qr, _ = rel_errors(p, qr_solve(p.a, p.b))
     d = 20 * 50
     zero = sketch_and_precondition(
-        p.a, p.b, SolverConfig(d=d, init="zero", max_iters=120), p.truth
+        p.a, p.b, SolverConfig(d=d, variant="basic", init="zero", max_iters=120), p.truth
     )
     ss = sketch_and_precondition(
-        p.a, p.b, SolverConfig(d=d, init="sketch_and_solve", max_iters=120), p.truth
+        p.a, p.b, SolverConfig(d=d, variant="basic", init="sketch_and_solve", max_iters=120),
+        p.truth,
     )
     basic = iterative_sketching(
-        p.a, p.b, SolverConfig(d=d, max_iters=120), p.truth
+        p.a, p.b, SolverConfig(d=d, variant="basic", max_iters=120), p.truth
     )
     mom = iterative_sketching(
         p.a, p.b, SolverConfig(d=d, variant="momentum", max_iters=120), p.truth
@@ -206,7 +225,7 @@ def test_criterion_06_sketch_and_precondition():
 
 def test_criterion_07_backward_error_dichotomy():
     p_small = gen_randsvd(4000, 50, 1e10, 1e-12, 0)
-    cfg = SolverConfig(d=1000, max_iters=100)
+    cfg = SolverConfig(d=1000, variant="basic", max_iters=100)
     res = iterative_sketching(p_small.a, p_small.b, cfg, p_small.truth)
     be_small = backward_error(p_small.a, p_small.b, res.solution)
 
@@ -390,7 +409,7 @@ def test_criterion_12_scaling_sanity():
     times = {}
     for m in (100_000, 200_000):
         p = gen_sparse(m, n, 0)
-        cfg = SolverConfig(d=d, max_iters=20)
+        cfg = SolverConfig(d=d, variant="basic", max_iters=20)
         samples = []
         for _ in range(3):
             t0 = time.perf_counter()

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, main
+from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, build_parser, main
 from itsketch.embed import choose_dim
 from itsketch.metrics import backward_error
 from itsketch.problems import gen_randsvd
+from itsketch.solvers import SolverConfig
 
 CONV_HEADER = "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re"
 PROBLEM = ["--m", "400", "--n", "15", "--cond", "1e4", "--resnorm", "1e-4"]
@@ -89,8 +90,16 @@ class TestFlags:
 
     def test_d_equal_to_n_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
-        assert run(["solve", *PROBLEM, "--d", "15", "--max-iters", "3", "--out", str(out)]) == EXIT_OK
+        assert run(["solve", *PROBLEM, "--d", "15", "--variant", "basic", "--max-iters", "3",
+                    "--out", str(out)]) == EXIT_OK
         assert out.exists()
+
+    def test_variant_defaults_to_momentum(self):
+        assert SolverConfig(d=100).variant == "momentum"
+        parser = build_parser()
+        for argv in (["solve", *PROBLEM], ["convergence", *PROBLEM], ["bad", *PROBLEM],
+                     ["kernel"]):
+            assert parser.parse_args(argv + ["--out", "o.csv"]).variant == "momentum"
 
 
 class TestSolve:
@@ -162,7 +171,7 @@ class TestConvergence:
         code = run([
             "convergence", "--m", "500", "--n", "20", "--cond", "1e2", "1e4",
             "--resnorm", "1e-4", "0", "--seed", "0", "--max-iters", "20",
-            "--out", str(out),
+            "--variant", "basic", "--out", str(out),
         ])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
@@ -176,6 +185,21 @@ class TestConvergence:
         assert all(r[3] == "-1" for r in qr_rows)
         # at resnorm 0 RE is ||r|| / ||b||, as on the iterative rows
         assert all(float(r[5]) < 1e-10 for r in qr_rows if float(r[2]) == 0.0)
+
+    def test_momentum_bound_from_iteration_2(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert run([
+            "convergence", "--m", "500", "--n", "20", "--cond", "1e4",
+            "--resnorm", "1e-4", "--seed", "0", "--max-iters", "20",
+            "--variant", "momentum", "--out", str(out),
+        ]) == EXIT_OK
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        traced = [r for r in rows if r[0] == "is_momentum"]
+        assert len(traced) > 2
+        for r in traced:
+            stated = int(r[3]) >= 2
+            assert math.isfinite(float(r[8])) == stated
+            assert math.isfinite(float(r[9])) == stated
 
     def test_rows_sorted(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -167,13 +167,14 @@ class TestStreamedPeakMemory:
     # 19.1 MiB as a CSC matrix
     def test_sparse_solve(self):
         p = gen_sparse(200_000, 100, 0)
-        assert _solve_peak(p.a, p.b, SolverConfig(d=3000, max_iters=100)) < 15 * MIB
+        cfg = SolverConfig(d=3000, variant="basic", max_iters=100)
+        assert _solve_peak(p.a, p.b, cfg) < 15 * MIB
 
     def test_dense_solve(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((100_000, 100))
         b = rng.standard_normal(100_000)
-        assert _solve_peak(a, b, SolverConfig(d=3000, max_iters=100)) < 10 * MIB
+        assert _solve_peak(a, b, SolverConfig(d=3000, variant="basic", max_iters=100)) < 10 * MIB
 
 
 class TestApply:
@@ -342,9 +343,9 @@ class TestChooseDim:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            choose_dim(10, 20, 1e-16)
+            choose_dim(10, 20, 1e-16, "basic")
         with pytest.raises(ValueError):
-            choose_dim(100, 10, 2.0)
+            choose_dim(100, 10, 2.0, "basic")
         with pytest.raises(ValueError):
             choose_dim(100, 10, 1e-16, "other")
 
