@@ -37,7 +37,6 @@ from .solvers import (
     rate_g_damp,
     rate_g_is,
     rate_g_mom,
-    should_stop,
     sketch_and_precondition,
     sketch_and_solve,
     theoretical_bound_curve,
@@ -76,5 +75,4 @@ __all__ = [
     "rate_g_damp",
     "rate_g_mom",
     "theoretical_bound_curve",
-    "should_stop",
 ]

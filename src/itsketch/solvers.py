@@ -78,8 +78,8 @@ class SolveTrace:
     formed residuals for iterative sketching, and LSQR's |phi_{i+1}| for
     sketch-and-precondition, which forms b - Ax only to take FE and RE
     against a given truth. ``stop_thresholds[i]`` is the stopping-rule
-    right-hand side it was compared to; it stays empty for
-    sketch-and-precondition, which LSQR's own tolerance ends.
+    right-hand side it was compared to; sketch-and-precondition takes
+    ||r_{i+1}|| in it from LSQR's phibar_{i+1}.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -191,31 +191,13 @@ def theoretical_bound_curve(
     return fe, re
 
 
-def should_stop(
-    r_next: np.ndarray,
-    r_curr: np.ndarray,
-    x_next: np.ndarray,
-    normest: float,
-    condest: float,
-    u: float,
-    gamma: float = STOP_GAMMA,
-    rho: float = STOP_RHO,
-) -> bool:
-    """Residual-change stopping rule (inclusive comparison):
-    ||r_{i+1} - r_i|| <= u * (gamma*normest*||x_{i+1}|| + rho*condest*||r_{i+1}||).
-    """
-    change = np.linalg.norm(np.asarray(r_next) - np.asarray(r_curr))
-    rhs = _stop_threshold(
-        np.linalg.norm(x_next), np.linalg.norm(r_next), normest, condest, u, gamma, rho
-    )
-    return bool(change <= rhs)
-
-
 def _stop_threshold(
     norm_x: float, norm_r: float, normest: float, condest: float, u: float,
     gamma: float, rho: float,
 ) -> float:
-    """Right-hand side of the stopping rule, from ||x_{i+1}|| and ||r_{i+1}||."""
+    """Right-hand side of the residual-change stopping rule, which fires when
+    ||r_{i+1} - r_i|| <= u(gamma*normest*||x_{i+1}|| + rho*condest*||r_{i+1}||)
+    (inclusive), in _run_refinement and in sketch_and_precondition alike."""
     return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
 
 
@@ -472,14 +454,15 @@ def lsqr(
     returning x = x0 + R^-1 z and the iteration count.
 
     The preconditioner is applied through triangular solves; R^-1 is never
-    formed. Stops at max_iters or when the normal-equation residual estimate
-    ||Op' r|| / (||Op|| ||r||) falls to rtol. callback(z, change) runs once
-    per iteration k with change = |phi_k| from the recurrence, which is
-    ||r_k - r_{k-1}|| in exact arithmetic: r_k is orthogonal to Op K_k, so
-    ||r_{k-1}||^2 = ||r_k||^2 + ||r_k - r_{k-1}||^2, and with
-    ||r_k|| = phibar_k = s_k phibar_{k-1} that gives |c_k| phibar_{k-1}.
-    No residual is formed for it; in floating point it keeps falling where a
-    formed b - Ax levels off at its rounding error.
+    formed. Stops at max_iters, when the normal-equation residual estimate
+    ||Op' r|| / (||Op|| ||r||) falls to rtol, or after the step whose
+    callback returns True. callback(z, change, resnorm) runs once per
+    iteration k with resnorm = phibar_k, the recurrence's ||r_k||, and
+    change = |phi_k|, which is ||r_k - r_{k-1}|| in exact arithmetic: r_k is
+    orthogonal to Op K_k, so ||r_{k-1}||^2 = ||r_k||^2 + ||r_k - r_{k-1}||^2,
+    and with phibar_k = s_k phibar_{k-1} that gives |c_k| phibar_{k-1}.
+    No residual is formed for either; in floating point |phi_k| keeps
+    falling where a formed b - Ax levels off at its rounding error.
     """
     precond_r = np.asarray(precond_r, dtype=float)
     if np.any(np.diag(precond_r) == 0.0):
@@ -529,8 +512,8 @@ def lsqr(
         z = z + (phi / rho) * w
         w = v - (theta / rho) * w
         iters += 1
-        if callback is not None:
-            callback(z, abs(phi))
+        if callback is not None and callback(z, abs(phi), phibar):
+            break
         # ||Op' r|| = phibar * alpha * |c|; relative to ||Op|| ||r||
         normar = phibar * alpha * abs(c)
         if phibar == 0.0 or normar <= rtol * math.sqrt(anorm2) * phibar:
@@ -544,9 +527,12 @@ def sketch_and_precondition(
     """Sketch, QR-factorize the sketch, then run LSQR on A right-preconditioned
     by the R factor, starting from the sketch-and-solve or zero iterate.
 
-    The trace's residual changes are LSQR's own |phi_k| (see lsqr); b - Ax
-    is formed only for the errors against truth, so without truth each step
-    makes two products with A or A', not three."""
+    The trace's residual changes are LSQR's own |phi_k| (see lsqr), and the
+    solve stops by the residual-change rule with LSQR's phibar_k as ||r_k||,
+    after cfg.extra_iters more steps, as _run_refinement does; LSQR's own
+    tolerance and max_iters are the other two stops. b - Ax is formed only
+    for the errors against truth, so without truth each step makes two
+    products with A or A', not three."""
     b = _as_rhs(a, b)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
@@ -554,9 +540,20 @@ def sketch_and_precondition(
     def record(x: np.ndarray) -> None:
         _record(trace, b, x, None if truth is None else b - a @ x, truth)
 
-    def on_iterate(z: np.ndarray, change: float) -> None:
+    fired_at = math.inf  # the first step whose change met the rule
+
+    def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
+        nonlocal fired_at
+        x = x0 + tri_solve_upper(r_fac, z)
+        threshold = _stop_threshold(
+            float(np.linalg.norm(x)), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
+        )
         trace.residual_changes.append(change)
-        record(x0 + tri_solve_upper(r_fac, z))
+        trace.stop_thresholds.append(threshold)
+        record(x)
+        if change <= threshold:
+            fired_at = min(fired_at, len(trace.residual_changes))
+        return len(trace.residual_changes) == fired_at + cfg.extra_iters
 
     record(x0)
 
@@ -564,7 +561,10 @@ def sketch_and_precondition(
         a, b, x0, r_fac, max_iters=cfg.max_iters,
         rtol=U, callback=on_iterate,
     )
-    trace.stop_reason = "max_iters" if iters >= cfg.max_iters else "lsqr_tolerance"
+    if iters == fired_at + cfg.extra_iters:
+        trace.stop_reason = "stopped_by_rule"
+    elif iters < cfg.max_iters:
+        trace.stop_reason = "lsqr_tolerance"
     # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
     # last traced iterate bit for bit
     return SolveResult(solution=x, trace=trace, config=cfg)

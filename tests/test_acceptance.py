@@ -13,7 +13,9 @@ gives it the iteration budget that its own exact-arithmetic bound guarantees
 g = eps and keeps a fixed budget of 50 (it fires in 6-27 iterations).
 
 One further test holds the momentum variant, the default, to criterion 01's
-forward-stability bound on criterion 01's grid; it prints no criterion line.
+forward-stability bound on criterion 01's grid, and another holds
+sketch-and-precondition, stopped by the residual-change rule, to the accuracy
+of LSQR run to its own tolerance; neither prints a criterion line.
 """
 
 import math
@@ -38,6 +40,7 @@ from itsketch.solvers import (
     sketch_and_precondition,
     sketch_and_solve,
     theoretical_bound_curve,
+    _sketch_factor,
 )
 from reference import householder_qr_econ
 
@@ -94,6 +97,25 @@ def test_momentum_forward_stability_on_criterion_01_grid():
                 fe_qr, re_qr = rel_errors(p, qr_solve(p.a, p.b))
                 assert res.trace.fe[-1] <= 10 * fe_qr, (kappa, beta, seed)
                 assert res.trace.re[-1] <= 10 * re_qr, (kappa, beta, seed)
+
+
+def test_sp_rule_stop_as_accurate_as_lsqr_tolerance():
+    # criterion 01's grid plus kappa = 1e14: the rule-stopped solve against
+    # LSQR run to rtol = u from the same x0 and R (worst FE ratio 3.2, at
+    # kappa = 1e10, beta = 1e-12, seed 0: 6 steps against 21)
+    grid = [(k, b) for k in (1e1, 1e10) for b in (1e-12, 1e-3)] + [(1e14, 1e-12), (1e14, 1.0)]
+    for kappa, beta in grid:
+        for seed in SEEDS:
+            p = gen_randsvd(4000, 50, kappa, beta, seed)
+            cfg = SolverConfig(d=1000, zeta=8, max_iters=100, rng_seed=seed)
+            res = sketch_and_precondition(p.a, p.b, cfg, p.truth)
+            x0, r_fac, _, _ = _sketch_factor(p.a, p.b, cfg)
+            x_tol, iters_tol = lsqr(p.a, p.b, x0, r_fac, cfg.max_iters, rtol=U)
+            fe_tol, _ = rel_errors(p, x_tol)
+            fe_qr, _ = rel_errors(p, qr_solve(p.a, p.b))
+            assert res.trace.stop_reason == "stopped_by_rule", (kappa, beta, seed)
+            assert res.trace.fe[-1] <= 10 * max(fe_tol, fe_qr), (kappa, beta, seed)
+            assert res.iterations <= iters_tol, (kappa, beta, seed)
 
 
 def test_criterion_02_geometric_rate():

@@ -26,9 +26,9 @@ def test_all_is_pinned():
         "SolverConfig", "SolveTrace", "SolveResult", "sketch_and_solve",
         "iterative_sketching", "sketch_and_precondition", "bad_variant", "lsqr",
         "damping_params", "momentum_params", "rate_g_is", "rate_g_damp", "rate_g_mom",
-        "theoretical_bound_curve", "should_stop",
+        "theoretical_bound_curve",
     ]
-    assert len(itsketch.__all__) == 33
+    assert len(itsketch.__all__) == 32
 
 
 def test_sparse_sign_embedding_fields():

@@ -41,12 +41,13 @@ from itsketch.solvers import (
     rate_g_damp,
     rate_g_is,
     rate_g_mom,
-    should_stop,
     sketch_and_precondition,
     sketch_and_solve,
     theoretical_bound_curve,
     _EPS_BASIC_MAX,
+    _sketch_factor,
     _stagnated,
+    _stop_threshold,
 )
 from reference import householder_qr_econ
 
@@ -153,13 +154,21 @@ class TestBoundCurve:
             theoretical_bound_curve("basic", 0.3, 1.0, 1.0, 1.0, iters=2)
 
 
+def _rule_fires(r_next, r_curr, x_next, normest, condest, u, gamma=STOP_GAMMA, rho=STOP_RHO):
+    """The residual-change rule as both solver loops apply it: the formed
+    change against _stop_threshold, inclusive."""
+    change = np.linalg.norm(r_next - r_curr)
+    return bool(change <= _stop_threshold(
+        np.linalg.norm(x_next), np.linalg.norm(r_next), normest, condest, u, gamma, rho))
+
+
 class TestShouldStop:
     def test_equal_residuals(self):
         r = np.array([1.0, 2.0])
-        assert should_stop(r, r, np.ones(2), 1.0, 1.0, 1e-16)
+        assert _rule_fires(r, r, np.ones(2), 1.0, 1.0, 1e-16)
 
     def test_large_change(self):
-        assert not should_stop(
+        assert not _rule_fires(
             np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.ones(2), 1.0, 1.0, 1e-16
         )
 
@@ -169,7 +178,7 @@ class TestShouldStop:
         r_curr = np.array([0.0, 0.0])
         x = np.array([1.0, 0.0])
         # u=0.5, gamma=1, normest=1, rho=0.04, condest=25 -> 0.5*(1 + 0.04*25*1) = 1
-        assert should_stop(r_next, r_curr, x, 1.0, 25.0, 0.5, gamma=1.0, rho=0.04)
+        assert _rule_fires(r_next, r_curr, x, 1.0, 25.0, 0.5, gamma=1.0, rho=0.04)
 
 
 def _same_iterates(xs, ys):
@@ -449,7 +458,7 @@ class TestLsqr:
         qr = householder_qr_econ(p.a)
         errs = []
 
-        def cb(z, change):
+        def cb(z, change, resnorm):
             xk = np.zeros(20) + tri_solve_upper(qr.r, z)
             errs.append(np.linalg.norm((p.b - p.a @ xk) - p.truth.r))
 
@@ -495,19 +504,37 @@ class TestSketchAndPrecondition:
         res = sketch_and_precondition(p.a, p.b, cfg, p.truth)
         assert len(res.trace.iterates) == res.iterations + 1
         assert len(res.trace.residual_changes) == res.iterations
-        assert res.trace.stop_thresholds == []
+        assert len(res.trace.stop_thresholds) == res.iterations
 
     def test_stop_reasons(self):
-        # LSQR's own test ends this solve at 21 iterations; the residual-change
-        # rule is never evaluated
+        # the residual-change rule ends this solve, well before LSQR's own
+        # test would (21 iterations)
         p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
         done = sketch_and_precondition(
             p.a, p.b, SolverConfig(d=1000, variant="basic", max_iters=100))
-        assert done.trace.stop_reason == "lsqr_tolerance"
-        assert done.iterations < 100
+        assert done.trace.stop_reason == "stopped_by_rule"
+        assert done.iterations < 21
+        tr = done.trace
+        fired = [c <= t for c, t in zip(tr.residual_changes, tr.stop_thresholds)]
+        assert fired.index(True) == done.iterations - 1
+        # a well-conditioned A with a large residual: the rule's threshold
+        # stays below |phi_k| and LSQR's own test ends the solve at 17-18
+        p = gen_sparse(20_000, 20, 0)
+        tol = sketch_and_precondition(p.a, p.b, SolverConfig(d=400, max_iters=100))
+        assert tol.trace.stop_reason == "lsqr_tolerance"
+        assert tol.iterations < 100
         cut = sketch_and_precondition(p.a, p.b, SolverConfig(d=1000, variant="basic", max_iters=5))
         assert cut.trace.stop_reason == "max_iters"
         assert cut.iterations == 5
+
+    def test_extra_iters_after_rule(self):
+        p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
+        cfg = SolverConfig(d=1000, max_iters=100)
+        res0 = sketch_and_precondition(p.a, p.b, cfg)
+        res3 = sketch_and_precondition(p.a, p.b, replace(cfg, extra_iters=3))
+        assert res0.trace.stop_reason == res3.trace.stop_reason == "stopped_by_rule"
+        assert res3.iterations == res0.iterations + 3
+        assert _same_iterates(res3.trace.iterates[: res0.iterations + 1], res0.trace.iterates)
 
     @staticmethod
     def _problem(dense):
@@ -540,6 +567,13 @@ class TestSketchAndPrecondition:
         assert bare.trace.fe == bare.trace.re == []
         assert len(traced.trace.fe) == len(traced.trace.iterates)
 
+    @staticmethod
+    def _lsqr_problem(dense):
+        if dense:
+            return gen_randsvd(4000, 50, 1e10, 1e-6, 0), SolverConfig(
+                d=1000, variant="basic", max_iters=60)
+        return gen_sparse(20_000, 20, 0), SolverConfig(d=400, variant="basic", max_iters=60)
+
     @pytest.mark.parametrize("dense", [True, False])
     def test_residual_changes_match_formed_residuals(self, dense):
         # LSQR's |phi_k| against ||r_k - r_{k-1}|| formed from the iterates,
@@ -548,11 +582,7 @@ class TestSketchAndPrecondition:
         # on. On the dense instance the formed change levels off at 1e-14 to
         # 1.5e-14, about 100 times u(||b|| + normest ||x||) = 1.3e-16, so the
         # comparison starts a further factor 10 above that.
-        if dense:
-            p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
-            cfg = SolverConfig(d=1000, variant="basic", max_iters=60)
-        else:
-            p, cfg = gen_sparse(20_000, 20, 0), SolverConfig(d=400, variant="basic", max_iters=60)
+        p, cfg = self._lsqr_problem(dense)
         tr = sketch_and_precondition(p.a, p.b, cfg).trace
         assert len(tr.residual_changes) == len(tr.iterates) - 1 > 0
         norm_b = np.linalg.norm(p.b)
@@ -563,6 +593,26 @@ class TestSketchAndPrecondition:
             if formed > 1000 * U * (norm_b + tr.normest * np.linalg.norm(x_next)):
                 compared += 1
                 assert abs(change - formed) <= 1e-2 * formed
+        assert compared >= 5
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_resnorm_matches_formed_residual(self, dense):
+        # LSQR's phibar_k, which the stopping rule reads as ||r_k||, against
+        # the formed ||b - A x_k|| wherever that is well above its rounding
+        # error, over a run to LSQR's own tolerance from the solve's x0 and R
+        p, cfg = self._lsqr_problem(dense)
+        x0, r_fac, normest, _ = _sketch_factor(p.a, p.b, cfg)
+        steps = []
+        lsqr(p.a, p.b, x0, r_fac, cfg.max_iters, rtol=U,
+             callback=lambda z, change, resnorm: steps.append((z, resnorm)))
+        norm_b = np.linalg.norm(p.b)
+        compared = 0
+        for z, resnorm in steps:
+            x = x0 + tri_solve_upper(r_fac, z)
+            formed = np.linalg.norm(p.b - p.a @ x)
+            if formed > 1000 * U * (norm_b + normest * np.linalg.norm(x)):
+                compared += 1
+                assert abs(resnorm - formed) <= 1e-2 * formed
         assert compared >= 5
 
     @pytest.mark.parametrize("beta", [1e-3, 0.0])
@@ -704,9 +754,8 @@ class TestTraceMemory:
                 + STOP_RHO * tr.condest * np.linalg.norm(r_next)
             )
             assert threshold == float(expect)
-            assert fired[i] == should_stop(
-                r_next, p.b - p.a @ x_curr, x_next, tr.normest, tr.condest, U
-            )
+            formed = np.linalg.norm(r_next - (p.b - p.a @ x_curr))
+            assert fired[i] == bool(formed <= threshold)
 
 
 class TestBadVariants:
