@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels shared by the whole package.
 
-Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy) plus
-Lambert W, written directly.
+Thin wrappers around LAPACK (via numpy/scipy) plus Lambert W, written directly;
+the triangular solves call dtrtrs and check only shapes and a zero diagonal.
 """
 
 from __future__ import annotations
@@ -9,32 +9,41 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy.linalg.lapack
 
 
 class SingularMatrixError(ValueError):
     """A triangular factor has an exactly-zero diagonal entry."""
 
 
-def _check_square_upper(r: np.ndarray) -> np.ndarray:
+_trtrs = scipy.linalg.lapack.dtrtrs  # fetched once, not per call
+
+
+def _tri_solve(r: np.ndarray, c: np.ndarray, trans: int) -> np.ndarray:
+    """y with op(r) @ y = c, op(r) = r or r.T (trans 0 or 1), by dtrtrs mapped
+    as solve_triangular maps it, so y is its bits: an F-contiguous r goes in
+    as it is, any other as the lower-triangular r.T."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    if np.any(np.diag(r) == 0.0):
+    if r.shape != (len(c), len(c)):  # dtrtrs checks neither
+        raise ValueError(f"expected a square matrix of order {len(c)}, got shape {r.shape}")
+    if r.flags.f_contiguous:
+        y, info = _trtrs(r, c, lower=0, trans=trans)
+    else:
+        y, info = _trtrs(r.T, c, lower=1, trans=1 - trans)
+    if info > 0:
         raise SingularMatrixError("zero diagonal entry in triangular factor")
-    return r
+    return y
 
 
 def tri_solve_upper(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve r @ y = c by back substitution (r upper triangular)."""
-    r = _check_square_upper(r)
-    return solve_triangular(r, np.asarray(c, dtype=float), lower=False)
+    """Solve r @ y = c by back substitution (r upper triangular). Checks only
+    the shapes and r's diagonal; a NaN or inf in r or c propagates into y."""
+    return _tri_solve(r, c, 0)
 
 
 def tri_solve_upper_transpose(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve r.T @ y = c by forward substitution (r upper triangular)."""
-    r = _check_square_upper(r)
-    return solve_triangular(r, np.asarray(c, dtype=float), lower=False, trans="T")
+    """Solve r.T @ y = c by forward substitution, checked as tri_solve_upper."""
+    return _tri_solve(r, c, 1)
 
 
 def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -201,6 +201,19 @@ def _stop_threshold(
     return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a 1-D array: np.linalg.norm's own dot path, without its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
+def _check_range(norm_op: float, norm_r: float) -> None:
+    """ValueError unless a step from a residual of norm norm_r stays in range:
+    it squares ||r|| and forms Op'r, each partial sum at most ||Op|| ||r||; both
+    stay 16x under the largest double. A NaN passes, for the divergence guard."""
+    if max(norm_op, norm_r) * norm_r > 2.0**1020:
+        raise ValueError("A and b are too large to iterate on without overflow; scale them down")
+
+
 def _stagnated(changes: list[float], floor: float) -> bool:
     """Stagnation test on the residual changes so far: the last is at most
     STAG_FLOOR * floor, with floor = u(||b|| + normest*||x_{i+1}||) the
@@ -297,8 +310,8 @@ def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[
     divides by the planted beta, not by ||truth.r|| (equal only up to
     rounding), and is ||r|| / ||b|| where beta = 0."""
     if truth.beta > 0:
-        return forward_error(truth.x, x), float(np.linalg.norm(truth.r - r) / truth.beta)
-    return forward_error(truth.x, x), float(np.linalg.norm(r) / np.linalg.norm(b))
+        return forward_error(truth.x, x), _norm(truth.r - r) / truth.beta
+    return forward_error(truth.x, x), _norm(r) / _norm(b)
 
 
 def _record(
@@ -338,22 +351,21 @@ def _run_refinement(
     alpha, beta = _update_coeffs(cfg, x0.shape[0])
     trace = SolveTrace(normest=normest, condest=condest)
     guard = _DivergenceGuard()
-    norm_b = float(np.linalg.norm(b))
+    norm_b = _norm(b)
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = b - a @ x
+    _check_range(normest, _norm(r))
     _record(trace, b, x, r, truth)
     reason: str | None = None  # set when the rule or the stagnation test fires
     remaining_extra = cfg.extra_iters
     for _ in range(cfg.max_iters):
         x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
         r_next = b - a @ x_next
-        change = float(np.linalg.norm(r_next - r))
-        resnorm = float(np.linalg.norm(r_next))
-        norm_x = float(np.linalg.norm(x_next))
-        threshold = _stop_threshold(
-            norm_x, resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
-        )
+        change = _norm(r_next - r)
+        resnorm = _norm(r_next)
+        norm_x = _norm(x_next)
+        threshold = _stop_threshold(norm_x, resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
         if guard.diverged(resnorm, x_next):
@@ -479,13 +491,14 @@ def lsqr(
 
     # Paige-Saunders recurrences, no reorthogonalization
     u = b - a @ x0
-    beta = float(np.linalg.norm(u))
+    beta = _norm(u)
+    _check_range(1.0, beta)  # Op' only meets unit vectors
     z = np.zeros(n)
     if beta == 0.0:
         return x0.copy(), 0
     u = u / beta
     v = op_t(u)
-    alpha = float(np.linalg.norm(v))
+    alpha = _norm(v)
     if alpha == 0.0:
         return x0.copy(), 0
     v = v / alpha
@@ -495,11 +508,11 @@ def lsqr(
     iters = 0
     for _ in range(max_iters):
         u = op(v) - alpha * u
-        beta = float(np.linalg.norm(u))
+        beta = _norm(u)
         if beta > 0:
             u = u / beta
             v = op_t(u) - beta * v
-            alpha = float(np.linalg.norm(v))
+            alpha = _norm(v)
             if alpha > 0:
                 v = v / alpha
         anorm2 += beta**2 + alpha**2
@@ -545,9 +558,7 @@ def sketch_and_precondition(
     def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
         nonlocal fired_at
         x = x0 + tri_solve_upper(r_fac, z)
-        threshold = _stop_threshold(
-            float(np.linalg.norm(x)), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO
-        )
+        threshold = _stop_threshold(_norm(x), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
         record(x)

@@ -315,6 +315,16 @@ class TestKernel:
         ])
         assert code == EXIT_IO
 
+    def test_targets_too_large_to_iterate_on_exit_64(self, tmp_path):
+        # the kernel features are at most 1, so ||b - Ax0||^2 overflows
+        data = tmp_path / "big.csv"
+        rows = [f"{i},{i % 7},1e200" for i in range(40)]
+        data.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        with np.errstate(over="ignore"):
+            code = run(["kernel", "--data", str(data), "--centers", "5", "--d", "20",
+                        "--repeats", "1", "--out", str(tmp_path / "k.csv")])
+        assert code == EXIT_USAGE
+
     def test_malformed_data_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,zap\n")

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from itsketch.linalg import (
     SingularMatrixError,
@@ -15,6 +16,7 @@ from itsketch.linalg import (
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
+from itsketch.solvers import _norm
 from reference import QrFactors, householder_qr_econ
 
 U = 2.0**-53
@@ -155,6 +157,36 @@ class TestTriangularSolves:
             c = rng.standard_normal(n)
             y = tri_solve_upper(r, c)
             assert np.linalg.norm(r @ y - c) <= 100 * n * U * kappa * np.linalg.norm(c)
+
+    def test_bits_of_solve_triangular_for_every_layout(self):
+        # dtrtrs is called with solve_triangular's argument mapping, so each
+        # layout of R gives solve_triangular's bits: C-contiguous (the QR's
+        # R), F-contiguous (bad_matrix's cholesky(gram).T) and a strided view
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((300, 30))
+        r_c = np.linalg.qr(a, mode="r")
+        r_f = np.linalg.cholesky(a.T @ a).T
+        r_view = np.linalg.qr(rng.standard_normal((300, 60)), mode="r")[::2, ::2]
+        assert r_c.flags.c_contiguous and r_f.flags.f_contiguous
+        assert not (r_view.flags.c_contiguous or r_view.flags.f_contiguous)
+        c = rng.standard_normal(30)
+        for r in (r_c, r_f, r_view):
+            assert np.array_equal(tri_solve_upper(r, c), solve_triangular(r, c))
+            assert np.array_equal(
+                tri_solve_upper_transpose(r, c), solve_triangular(r, c, trans="T"))
+        for solve in (tri_solve_upper, tri_solve_upper_transpose):
+            with pytest.raises(ValueError, match="square"):
+                solve(r_c[:, :29], c)
+            with pytest.raises(ValueError, match="square"):
+                solve(r_c, c[:29])
+        # the solvers' norms take np.linalg.norm's bits, on m- and n-vectors
+        for v in (a[:, 0], c, a @ c):
+            assert _norm(v) == float(np.linalg.norm(v))
+
+    def test_non_finite_input_propagates(self):
+        r = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert np.isnan(tri_solve_upper(r, np.array([np.nan, 1.0]))).any()
+        assert np.isinf(tri_solve_upper_transpose(r, np.array([np.inf, 1.0]))).any()
 
     def test_zero_diagonal_raises(self):
         r = np.array([[1.0, 2.0], [0.0, 0.0]])

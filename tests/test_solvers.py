@@ -865,3 +865,17 @@ def test_sketch_and_solve_names_b():
         sketch_and_solve(p.a, p.b[:-1], s)
     with pytest.raises(ValueError, match=r"^b must be finite"):
         sketch_and_solve(p.a, np.full(300, np.nan), s)
+
+
+@pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
+def test_scaled_input_rejected_before_iterating_or_solved(solve):
+    # at 1e160, A'r (IS) and ||b - Ax0||^2 (SP) overflow, so the solve is
+    # refused before its first step; at 1e155 both still reach a few u
+    p = gen_randsvd(2000, 20, 1e2, 1e-3, 0)
+    # ||b||^2 overflows at both scales; it only sets the stagnation floor
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="too large to iterate on"):
+            solve(p.a * 1e160, p.b * 1e160, SolverConfig(d=400))
+        res = solve(p.a * 1e155, p.b * 1e155, SolverConfig(d=400))
+    assert res.trace.stop_reason == "stopped_by_rule"
+    assert forward_error(p.truth.x, res.solution) <= 4e-16
