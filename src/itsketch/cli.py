@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .embed import choose_dim, default_distortion
-from .linalg import qr_solve
+from .linalg import _one_blas_thread, qr_solve
 from .metrics import BE_MAX_M, backward_error
 from .problems import (
     CsvParseError,
@@ -71,7 +71,9 @@ def _map_trials(fn, items: list):
     workers = min(_thread_count(), len(items)) if items else 1
     if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # each QR sets NumPy's OpenBLAS to one thread for the whole process; hold it
+    # there while trials overlap, so no trial's BLAS bits depend on the timing
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

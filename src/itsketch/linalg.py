@@ -2,11 +2,16 @@
 
 Thin wrappers around LAPACK (via numpy/scipy) plus Lambert W, written directly;
 the triangular solves call dtrtrs and check only shapes and a zero diagonal.
+The QR of [a | b] holds NumPy's OpenBLAS at one thread (see _qr_solve_joined).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg.lapack
@@ -46,6 +51,35 @@ def tri_solve_upper_transpose(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _tri_solve(r, c, 1)
 
 
+def _find_openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS NumPy loaded, not SciPy's copy; or None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for pre, suf in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get, set_ = (getattr(lib, f"{pre}{op}_num_threads{suf}", None) for op in ("get", "set"))
+            if get and set_:
+                set_.restype = None  # get keeps ctypes' default int result
+                return get, set_
+
+
+_get_threads, _set_threads = _find_openblas_threads() or (None, None)
+_one_thread_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold NumPy's OpenBLAS at one thread, then restore its count (a no-op without
+    it). The count is process-wide, so windows that may overlap take _one_thread_lock."""
+    with contextlib.ExitStack() as restore:
+        if _set_threads is not None:
+            restore.callback(_set_threads, _get_threads())
+            _set_threads(1)
+        yield
+
+
 def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Householder least-squares solution of min ||b - a x|| for a vector b,
     and the R factor of a with nonnegative diagonal.
@@ -60,12 +94,15 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _qr_solve_joined(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qr_solve(a, b) given the joined m x (n+1) array [a | b], which it
-    reads without copying; LAPACK works on its own copy."""
+    """qr_solve(a, b) given the joined m x (n+1) array [a | b], which it reads
+    without copying; LAPACK works on its own copy, on one OpenBLAS thread. Below 128
+    columns dgeqrf's unblocked dgeqr2 makes ~2(n+1) level-2 calls that OpenBLAS would
+    split and join over its threads; R comes ~2x sooner, in bits the count cannot change."""
     m, n = ab.shape[0], ab.shape[1] - 1
     if m < n:
         raise ValueError(f"need m >= n, got {m} x {n}")
-    r_aug = np.linalg.qr(ab, mode="r")
+    with _one_thread_lock, _one_blas_thread():
+        r_aug = np.linalg.qr(ab, mode="r")
     signs = np.sign(np.diag(r_aug)[:n])
     signs[signs == 0] = 1.0
     r = signs[:, None] * r_aug[:n, :n]

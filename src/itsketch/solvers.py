@@ -351,7 +351,8 @@ def _run_refinement(
     alpha, beta = _update_coeffs(cfg, x0.shape[0])
     trace = SolveTrace(normest=normest, condest=condest)
     guard = _DivergenceGuard()
-    norm_b = _norm(b)
+    e = math.frexp(max(b.max(), -b.min()))[1]  # b * 2^-e: exact, and b*b cannot overflow
+    norm_b = float(np.ldexp(_norm(np.ldexp(b, -e)), e))
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = b - a @ x

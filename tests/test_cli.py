@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, build_parser, main
+from blas_threads import probe_outputs
+from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, _map_trials, build_parser, main
 from itsketch.embed import choose_dim
 from itsketch.metrics import backward_error
 from itsketch.problems import gen_randsvd
@@ -224,6 +225,30 @@ class TestConvergence:
         parallel = tmp_path / "parallel.csv"
         run(argv + ["--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_pooled_trials_run_blas_on_one_thread(self, blas_threads, monkeypatch):
+        monkeypatch.setenv("RLS_THREADS", "2")
+        assert _map_trials(lambda _: blas_threads(), [0, 1, 2, 3]) == [1, 1, 1, 1]
+        assert blas_threads() == 2
+        monkeypatch.setenv("RLS_THREADS", "1")
+        assert _map_trials(lambda _: blas_threads(), [0, 1]) == [2, 2]
+
+    def test_pooled_trials_bitwise_equal_across_blas_threads(self, tmp_path):
+        # at 20000x60 the bits of A'r and of the generator's QR change with the
+        # OpenBLAS thread count; pooled trials hold it at one thread throughout,
+        # so neither the count nor the timing of another trial's QR shows
+        probe = (
+            "import hashlib, os\n"
+            "from itsketch.cli import main\n"
+            "os.environ['RLS_THREADS'] = '2'\n"
+            f"out = {str(tmp_path / 'conv.csv')!r}\n"
+            "for _ in range(2):\n"
+            "    main(['convergence', '--m', '20000', '--n', '60', '--cond', '1e10',\n"
+            "          '--resnorm', '1e-6', '--seed', '1', '2', '--out', out])\n"
+            "    print(hashlib.sha256(open(out, 'rb').read()).hexdigest())\n"
+        )
+        outs = probe_outputs(probe)
+        assert len(set(outs[0].split() + outs[1].split())) == 1
 
 
 class TestBad:

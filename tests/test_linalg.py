@@ -1,12 +1,16 @@
 """Unit tests for the dense linear-algebra kernels."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from blas_threads import probe_outputs
+from itsketch import linalg
 from itsketch.linalg import (
     SingularMatrixError,
     _qr_solve_joined,
@@ -114,6 +118,76 @@ class TestQrSolve:
             tracemalloc.stop()
         assert top - base <= 1.1 * ab.nbytes
         x_ref, r_ref = qr_solve(ab[:, :-1], ab[:, -1])
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
+
+    def test_bits_equal_across_blas_threads_above_128_columns(self):
+        # from 128 columns on dgeqrf takes its blocked path, whose threaded
+        # updates would change R's bits with the OpenBLAS thread count
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from itsketch.linalg import qr_solve\n"
+            "rng = np.random.default_rng(0)\n"
+            "x, r = qr_solve(rng.standard_normal((1000, 129)), rng.standard_normal(1000))\n"
+            "print(hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n"
+        )
+        outs = probe_outputs(probe)
+        assert outs[0] == outs[1]
+
+
+class TestOneBlasThread:
+    ab = np.random.default_rng(12).standard_normal((200, 11))
+
+    def test_qr_runs_on_one_thread(self, blas_threads, monkeypatch):
+        seen = []
+        qr = np.linalg.qr
+
+        def spy(a, mode):
+            seen.append(blas_threads())
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        _qr_solve_joined(self.ab)
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_qr_raises(self, blas_threads, monkeypatch):
+        def fail(a, mode):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            _qr_solve_joined(self.ab)
+        assert blas_threads() == 2
+
+    def test_count_restored_after_concurrent_solves(self, blas_threads):
+        x_ref, r_ref = _qr_solve_joined(self.ab)
+        mismatches = []
+
+        def work():
+            for _ in range(200):
+                x, r = _qr_solve_joined(self.ab)
+                if not (np.array_equal(x, x_ref) and np.array_equal(r, r_ref)):
+                    mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(2)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not mismatches
+        assert blas_threads() == 2
+
+    def test_same_bits_without_openblas(self, monkeypatch):
+        x_ref, r_ref = _qr_solve_joined(self.ab)
+        monkeypatch.setattr(linalg, "_get_threads", None)
+        monkeypatch.setattr(linalg, "_set_threads", None)
+        x, r = _qr_solve_joined(self.ab)
         assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 
 

@@ -2,19 +2,17 @@
 stopping rule, LSQR, and the deliberately-unstable baselines."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from blas_threads import probe_outputs
 from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
     SingularMatrixError,
@@ -375,17 +373,7 @@ class TestIterativeSketching:
             "xs = np.concatenate([res.solution, *res.trace.iterates])\n"
             "print(res.trace.stop_reason, res.iterations, hashlib.sha256(xs.tobytes()).hexdigest())\n"
         )
-        path = os.pathsep.join(filter(None, [
-            str(Path(itsketch.solvers.__file__).resolve().parents[1]),
-            os.environ.get("PYTHONPATH"),
-        ]))
-        outs = [
-            subprocess.run(
-                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
-            ).stdout
-            for threads in ("1", "2")
-        ]
+        outs = probe_outputs(probe)
         assert outs[0] == outs[1]
         assert outs[0].startswith("stagnated ")
 
@@ -872,10 +860,14 @@ def test_scaled_input_rejected_before_iterating_or_solved(solve):
     # at 1e160, A'r (IS) and ||b - Ax0||^2 (SP) overflow, so the solve is
     # refused before its first step; at 1e155 both still reach a few u
     p = gen_randsvd(2000, 20, 1e2, 1e-3, 0)
-    # ||b||^2 overflows at both scales; it only sets the stagnation floor
+    # at 1e160 ||r0||^2 overflows on the way to the range check
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="too large to iterate on"):
             solve(p.a * 1e160, p.b * 1e160, SolverConfig(d=400))
+    # ||b|| ~ 1e157 cannot be taken by squaring b, yet the stagnation floor
+    # u(||b|| + normest ||x||) stays finite, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = solve(p.a * 1e155, p.b * 1e155, SolverConfig(d=400))
     assert res.trace.stop_reason == "stopped_by_rule"
     assert forward_error(p.truth.x, res.solution) <= 4e-16
