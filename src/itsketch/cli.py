@@ -71,8 +71,8 @@ def _map_trials(fn, items: list):
     workers = min(_thread_count(), len(items)) if items else 1
     if workers <= 1:
         return [fn(it) for it in items]
-    # each QR sets NumPy's OpenBLAS to one thread for the whole process; hold it
-    # there while trials overlap, so no trial's BLAS bits depend on the timing
+    # each small QR sets OpenBLAS (NumPy's and SciPy's) to one thread for the whole
+    # process; hold both there while trials overlap, so no trial's bits depend on timing
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -2,7 +2,9 @@
 
 Thin wrappers around LAPACK (via numpy/scipy) plus Lambert W, written directly;
 the triangular solves call dtrtrs and check only shapes and a zero diagonal.
-The QR of [a | b] holds NumPy's OpenBLAS at one thread (see _qr_solve_joined).
+The QR of [a | b] holds OpenBLAS at one thread (see _qr_solve_joined), and so
+does the thin QR of a block of at most _THIN_QR_ONE_THREAD_MAX entries
+(_thin_qr). The hold covers both copies of OpenBLAS: NumPy's and SciPy's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg.lapack
+from numpy.linalg import lapack_lite
 
 
 class SingularMatrixError(ValueError):
@@ -51,33 +55,88 @@ def tri_solve_upper_transpose(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _tri_solve(r, c, 1)
 
 
-def _find_openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS NumPy loaded, not SciPy's copy; or None."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*"):
+def _find_openblas_threads(package):
+    """(get, set) of the thread count of the OpenBLAS that package (numpy or scipy)
+    ships in its own `<name>.libs` folder; or None."""
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for path in libs.glob("lib*openblas*"):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for pre, suf in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        for pre, suf in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
             get, set_ = (getattr(lib, f"{pre}{op}_num_threads{suf}", None) for op in ("get", "set"))
             if get and set_:
-                set_.restype = None  # get keeps ctypes' default int result
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
 
 
-_get_threads, _set_threads = _find_openblas_threads() or (None, None)
+_get_threads, _set_threads = _find_openblas_threads(np) or (None, None)
+_scipy_get_threads, _scipy_set_threads = _find_openblas_threads(scipy) or (None, None)
 _one_thread_lock = threading.Lock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold NumPy's OpenBLAS at one thread, then restore its count (a no-op without
-    it). The count is process-wide, so windows that may overlap take _one_thread_lock."""
+    """Hold NumPy's and SciPy's OpenBLAS at one thread, then restore their counts
+    (a no-op for a copy not found). The counts are process-wide, so windows that
+    may overlap take _one_thread_lock."""
     with contextlib.ExitStack() as restore:
-        if _set_threads is not None:
-            restore.callback(_set_threads, _get_threads())
-            _set_threads(1)
+        for get, set_ in ((_get_threads, _set_threads), (_scipy_get_threads, _scipy_set_threads)):
+            if set_ is not None:
+                restore.callback(set_, get())
+                set_(1)
         yield
+
+
+# _thin_qr holds OpenBLAS at one thread for blocks of at most this many entries.
+# One thread's time over two threads' (2-core host, NumPy 2.4.6, OpenBLAS 0.3.31,
+# two runs): 0.52-0.55 at 4000 x 50, 0.77-0.78 at 8000 x 64, 0.94-0.96 at
+# 13000 x 50, 1.06-1.11 at 7000 x 100, 1.17-1.41 at 10000 x 100, 1.45-1.61 at
+# 1e5 x 100. Tall blocks cross at about 6.5e5 entries; the limit sits below that.
+# Wider blocks, on dgeqrf's blocked path, cross later (0.78-0.81 at 5000 x 200).
+_THIN_QR_ONE_THREAD_MAX = 2**19
+
+# NumPy's LAPACK, not SciPy's: above the limit a call into SciPy's OpenBLAS wakes its
+# own worker threads, which spin on after it and slowed NumPy's BLAS calls that came
+# next: gen_randsvd(20000, 60, ...) took 1.3-1.6x as long, and a solve after it 2x.
+_geqrf, _orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
+
+
+def _lapack(fn, *args) -> None:
+    """fn(*args, work, lwork, info), a routine of NumPy's lapack_lite, after a
+    workspace query; a non-zero info raises LinAlgError."""
+    work = np.empty(1)
+    fn(*args, work, -1, 0)
+    work = np.empty(int(work[0]))
+    info = fn(*args, work, work.size, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} returned info={info}")
+
+
+def _thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q (m x n, C-contiguous) and R of a tall m x n block: the bits of
+    np.linalg.qr(a, mode="reduced") at the same thread count, from the same
+    dgeqrf and dorgqr of NumPy's LAPACK, which here work in place on one
+    column-major copy of a. A block of at most _THIN_QR_ONE_THREAD_MAX entries
+    runs on one OpenBLAS thread: below 128 columns (dgeqrf's unblocked path)
+    its ~2n level-2 calls then skip the threads' hand-offs, and from 128 on its
+    bits no longer depend on the thread count."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"need m >= n, got {m} x {n}")
+    qr = np.array(a.T, order="C")  # a's columns, one after another
+    tau = np.empty(n)
+    with contextlib.ExitStack() as window:
+        if a.size <= _THIN_QR_ONE_THREAD_MAX:
+            window.enter_context(_one_thread_lock)
+            window.enter_context(_one_blas_thread())
+        _lapack(_geqrf, m, n, qr, m, tau)
+        r = np.triu(qr[:, :n].T)
+        _lapack(_orgqr, m, n, n, qr, m, tau)
+    return np.ascontiguousarray(qr.T), r
 
 
 def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .linalg import svd_values
+from .linalg import _thin_qr, svd_values
 
 
 class WedinHypothesisError(ValueError):
@@ -67,7 +67,7 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     of ||A||, which matters when sigma_min is many orders below ||A||.
     """
     m, n = a.shape
-    q_hat, r_fac = np.linalg.qr(a, mode="reduced")
+    q_hat, r_fac = _thin_qr(a)
     q = r_hat / _norm2(r_hat)
     p = q_hat.T @ q
     tau = float(np.linalg.norm(q - q_hat @ p))

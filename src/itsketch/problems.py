@@ -15,6 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
+from .linalg import _thin_qr
+
 
 @dataclass
 class Truth:
@@ -35,7 +37,7 @@ def _haar_stiefel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """First n columns of a Haar m x m orthogonal matrix: the QR of an m x n
     Gaussian matrix with the R-diagonal sign correction Haar measure needs."""
     g = rng.standard_normal((m, n))
-    q, r = np.linalg.qr(g, mode="reduced")
+    q, r = _thin_qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
@@ -47,10 +49,10 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
     uniformly in the orthogonal complement of range(U1)."""
     if not (m > n >= 2):
         raise ValueError(f"need m > n >= 2, got m={m}, n={n}")
-    if kappa < 1:
-        raise ValueError(f"need kappa >= 1, got {kappa}")
-    if beta < 0:
-        raise ValueError(f"need beta >= 0, got {beta}")
+    if not 1 <= kappa < np.inf:
+        raise ValueError(f"need a finite kappa >= 1, got {kappa}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"need a finite beta >= 0, got {beta}")
     rng = np.random.default_rng(seed)
     u1 = _haar_stiefel(m, n, rng)
     v = _haar_stiefel(n, n, rng)

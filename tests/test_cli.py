@@ -89,6 +89,17 @@ class TestFlags:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    # the generator names the value; a NaN or inf used to reach the solver first
+    @pytest.mark.parametrize("cond,resnorm,name", [
+        ("nan", "1e-3", "kappa"), ("10", "inf", "beta"),
+    ])
+    def test_non_finite_generator_value_exits_64(self, tmp_path, capsys, cond, resnorm, name):
+        out = tmp_path / "o.csv"
+        argv = ["solve", "--m", "60", "--n", "5", "--cond", cond, "--resnorm", resnorm]
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert f"finite {name}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_d_equal_to_n_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run(["solve", *PROBLEM, "--d", "15", "--variant", "basic", "--max-iters", "3",
@@ -232,6 +243,12 @@ class TestConvergence:
         assert blas_threads() == 2
         monkeypatch.setenv("RLS_THREADS", "1")
         assert _map_trials(lambda _: blas_threads(), [0, 1]) == [2, 2]
+
+    def test_pooled_trials_run_scipy_blas_on_one_thread(self, scipy_blas_threads, monkeypatch):
+        # the trials' triangular solves (dtrtrs) and BLAS norms run in SciPy's OpenBLAS
+        monkeypatch.setenv("RLS_THREADS", "2")
+        assert _map_trials(lambda _: scipy_blas_threads(), [0, 1, 2, 3]) == [1, 1, 1, 1]
+        assert scipy_blas_threads() == 2
 
     def test_pooled_trials_bitwise_equal_across_blas_threads(self, tmp_path):
         # at 20000x60 the bits of A'r and of the generator's QR change with the

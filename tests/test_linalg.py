@@ -14,6 +14,7 @@ from itsketch import linalg
 from itsketch.linalg import (
     SingularMatrixError,
     _qr_solve_joined,
+    _thin_qr,
     lambert_w0,
     qr_solve,
     svd_values,
@@ -134,6 +135,37 @@ class TestQrSolve:
         assert outs[0] == outs[1]
 
 
+class TestThinQr:
+    @pytest.mark.parametrize("m,n", [(2000, 20), (4000, 50), (20000, 60)])
+    def test_bits_equal_numpy_reduced_qr(self, m, n):
+        a = np.random.default_rng(m + n).standard_normal((m, n))
+        q_ref, r_ref = np.linalg.qr(a, mode="reduced")
+        q, r = _thin_qr(a)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert q.flags.c_contiguous
+
+    def test_input_left_unchanged(self):
+        a = np.asfortranarray(np.random.default_rng(1).standard_normal((50, 4)))
+        before = a.copy()
+        _thin_qr(a)
+        assert np.array_equal(a, before)
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match="m >= n"):
+            _thin_qr(np.ones((3, 5)))
+
+    @pytest.mark.parametrize("name", ["_geqrf", "_orgqr"])
+    def test_nonzero_info_raises(self, name, monkeypatch):
+        fn = getattr(linalg, name)
+
+        def bad_info(*args):
+            return {**fn(*args), "info": -4}
+
+        monkeypatch.setattr(linalg, name, bad_info)
+        with pytest.raises(np.linalg.LinAlgError, match="info=-4"):
+            _thin_qr(np.random.default_rng(2).standard_normal((30, 3)))
+
+
 class TestOneBlasThread:
     ab = np.random.default_rng(12).standard_normal((200, 11))
 
@@ -189,6 +221,52 @@ class TestOneBlasThread:
         monkeypatch.setattr(linalg, "_set_threads", None)
         x, r = _qr_solve_joined(self.ab)
         assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
+
+    def test_thin_qr_runs_both_copies_on_one_thread(self, blas_threads, scipy_blas_threads,
+                                                    monkeypatch):
+        seen = []
+        geqrf = linalg._geqrf
+
+        def spy(*args):
+            seen.append((blas_threads(), scipy_blas_threads()))
+            return geqrf(*args)
+
+        monkeypatch.setattr(linalg, "_geqrf", spy)
+        _thin_qr(self.ab)
+        assert seen == [(1, 1), (1, 1)]  # workspace query, then the factorization
+        assert (blas_threads(), scipy_blas_threads()) == (2, 2)
+
+    def test_thin_qr_above_the_limit_keeps_the_count(self, blas_threads, monkeypatch):
+        seen = []
+        geqrf = linalg._geqrf
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return geqrf(*args)
+
+        monkeypatch.setattr(linalg, "_geqrf", spy)
+        monkeypatch.setattr(linalg, "_THIN_QR_ONE_THREAD_MAX", self.ab.size - 1)
+        _thin_qr(self.ab)
+        assert seen == [2, 2]
+
+    def test_scipy_count_restored_when_lapack_raises(self, scipy_blas_threads, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(linalg, "_orgqr", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            _thin_qr(self.ab)
+        assert scipy_blas_threads() == 2
+
+    def test_same_bits_without_scipy_openblas(self, monkeypatch):
+        q_ref, r_ref = _thin_qr(self.ab)
+        x_ref, rs_ref = _qr_solve_joined(self.ab)
+        monkeypatch.setattr(linalg, "_scipy_get_threads", None)
+        monkeypatch.setattr(linalg, "_scipy_set_threads", None)
+        q, r = _thin_qr(self.ab)
+        x, rs = _qr_solve_joined(self.ab)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert np.array_equal(x, x_ref) and np.array_equal(rs, rs_ref)
 
 
 class TestTriangularSolves:

@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 import scipy.sparse as sp
 
+from blas_threads import probe_outputs
 from itsketch.linalg import svd_values
 from itsketch.problems import (
     CsvParseError,
@@ -46,6 +47,15 @@ class TestGenRandsvd:
         with pytest.raises(ValueError):
             gen_randsvd(10, 2, 10.0, -0.1, 0)
 
+    # NaN kappa gave an all-NaN A, inf kappa a rank-1 A, non-finite beta a non-finite b
+    @pytest.mark.parametrize("kappa,beta,name", [
+        (np.nan, 0.1, "kappa"), (np.inf, 0.1, "kappa"),
+        (10.0, np.nan, "beta"), (10.0, np.inf, "beta"),
+    ], ids=["kappa-nan", "kappa-inf", "beta-nan", "beta-inf"])
+    def test_non_finite_parameter_rejected(self, kappa, beta, name):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            gen_randsvd(10, 2, kappa, beta, 0)
+
     @pytest.mark.parametrize("seed", range(100))
     def test_truth_invariants_100_seeds(self, seed):
         m, n, kappa, beta = 500, 20, 1e4, 1e-2
@@ -61,6 +71,24 @@ class TestGenRandsvd:
         p1 = gen_randsvd(80, 8, 1e2, 1e-3, 7)
         p2 = gen_randsvd(80, 8, 1e2, 1e-3, 7)
         assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b)
+
+    def test_bits_equal_across_blas_threads(self):
+        # sha256 of A, b, x and r. From 128 columns dgeqrf takes its blocked path,
+        # whose threaded updates changed U1's bits with the OpenBLAS thread count;
+        # the benchmark's `paper-dense` instance (workload seed 7) must not move
+        probe = (
+            "import hashlib\n"
+            "from itsketch import gen_randsvd\n"
+            "for args in ((1000, 129, 1e10, 1e-6, 0), (4000, 50, 1e10, 1e-6, 7)):\n"
+            "    p = gen_randsvd(*args)\n"
+            "    arrays = (p.a, p.b, p.truth.x, p.truth.r)\n"
+            "    print(hashlib.sha256(b''.join(v.tobytes() for v in arrays)).hexdigest())\n"
+        )
+        outs = probe_outputs(probe)
+        assert outs[0] == outs[1]
+        assert outs[0].split()[1] == (
+            "0da36da7684606576597321aa5602451d9c5fa213f9786833a030e5cb7b1df75"
+        )
 
 
 class TestHaarProxy:
