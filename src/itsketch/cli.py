@@ -362,10 +362,7 @@ def main(argv: list[str] | None = None) -> int:
                                 f'--d must be "auto" or an integer >= n = {n}, got {d!r}\n')
     try:
         return args.fn(args)
-    except CsvParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (CsvParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:  # a flag value a generator or SolverConfig rejects

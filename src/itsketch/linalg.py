@@ -1,10 +1,9 @@
-"""Dense linear-algebra kernels shared by the whole package.
-
-Thin wrappers around LAPACK (via numpy/scipy) plus Lambert W, written directly;
-the triangular solves call dtrtrs and check only shapes and a zero diagonal.
-The QR of [a | b] holds OpenBLAS at one thread (see _qr_solve_joined), and so
-does the thin QR of a block of at most _THIN_QR_ONE_THREAD_MAX entries
-(_thin_qr). The hold covers both copies of OpenBLAS: NumPy's and SciPy's.
+"""Dense linear-algebra kernels shared by the whole package: thin wrappers
+around LAPACK (via numpy/scipy) plus Lambert W, written directly. The
+triangular solves call dtrtrs and check only shapes and a zero diagonal. Every
+QR is _householder: NumPy's dgeqrf (and dorgqr for Q) in place on one
+column-major copy, with both OpenBLAS copies (NumPy's and SciPy's) held at one
+thread for qr_solve and for thin QRs of at most _THIN_QR_ONE_THREAD_MAX entries.
 """
 
 from __future__ import annotations
@@ -115,53 +114,60 @@ def _lapack(fn, *args) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} returned info={info}")
 
 
+def _as_rhs(a, b) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")
+    return b
+
+
+def _householder(cols: np.ndarray, one_thread: bool, form_q: bool = False) -> np.ndarray:
+    """R (min(m, k) x k) of the m x k matrix stored column after column in the
+    C-contiguous k x m buffer cols, by dgeqrf in place; form_q (m >= k) then
+    leaves Q's columns in cols, by dorgqr. one_thread holds both OpenBLAS copies
+    at one thread: below 128 columns dgeqrf's ~2k level-2 calls then skip the
+    threads' hand-offs, and from 128 on its bits no longer depend on the count."""
+    k, m = cols.shape
+    tau = np.empty(min(m, k))
+    with contextlib.ExitStack() as window:
+        if one_thread:
+            window.enter_context(_one_thread_lock)
+            window.enter_context(_one_blas_thread())
+        _lapack(_geqrf, m, k, cols, m, tau)
+        r = np.triu(cols[:, : tau.size].T)
+        if form_q:
+            _lapack(_orgqr, m, k, k, cols, m, tau)
+    return r
+
+
 def _thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q (m x n, C-contiguous) and R of a tall m x n block: the bits of
-    np.linalg.qr(a, mode="reduced") at the same thread count, from the same
-    dgeqrf and dorgqr of NumPy's LAPACK, which here work in place on one
-    column-major copy of a. A block of at most _THIN_QR_ONE_THREAD_MAX entries
-    runs on one OpenBLAS thread: below 128 columns (dgeqrf's unblocked path)
-    its ~2n level-2 calls then skip the threads' hand-offs, and from 128 on its
-    bits no longer depend on the thread count."""
+    """Q (m x n, C-contiguous) and R of a tall m x n block, from one column-major
+    copy of a; on one OpenBLAS thread for at most _THIN_QR_ONE_THREAD_MAX entries."""
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     if m < n:
         raise ValueError(f"need m >= n, got {m} x {n}")
     qr = np.array(a.T, order="C")  # a's columns, one after another
-    tau = np.empty(n)
-    with contextlib.ExitStack() as window:
-        if a.size <= _THIN_QR_ONE_THREAD_MAX:
-            window.enter_context(_one_thread_lock)
-            window.enter_context(_one_blas_thread())
-        _lapack(_geqrf, m, n, qr, m, tau)
-        r = np.triu(qr[:, :n].T)
-        _lapack(_orgqr, m, n, n, qr, m, tau)
+    r = _householder(qr, one_thread=a.size <= _THIN_QR_ONE_THREAD_MAX, form_q=True)
     return np.ascontiguousarray(qr.T), r
 
 
 def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder least-squares solution of min ||b - a x|| for a vector b,
-    and the R factor of a with nonnegative diagonal.
-
-    Only R of [a | b] is computed: its leading n x n block is R and the last
-    column of those rows is Q'b, so Q is never formed.
-    """
+    """Householder least-squares solution of min ||b - a x|| for a length-m
+    vector b, and the R factor of a with nonnegative diagonal. Only R of [a | b]
+    is computed, by the thin QR's kernel from one column-major copy of a and b,
+    on one OpenBLAS thread at any size: its leading n x n block is R, and the
+    last column of those rows is Q'b."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    return _qr_solve_joined(np.column_stack([a, b]))
-
-
-def _qr_solve_joined(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qr_solve(a, b) given the joined m x (n+1) array [a | b], which it reads
-    without copying; LAPACK works on its own copy, on one OpenBLAS thread. Below 128
-    columns dgeqrf's unblocked dgeqr2 makes ~2(n+1) level-2 calls that OpenBLAS would
-    split and join over its threads; R comes ~2x sooner, in bits the count cannot change."""
-    m, n = ab.shape[0], ab.shape[1] - 1
+    (m, n), b = a.shape, _as_rhs(a, b)
     if m < n:
         raise ValueError(f"need m >= n, got {m} x {n}")
-    with _one_thread_lock, _one_blas_thread():
-        r_aug = np.linalg.qr(ab, mode="r")
+    cols = np.empty((n + 1, m))
+    cols[:n], cols[n] = a.T, b
+    r_aug = _householder(cols, one_thread=True)
+    del cols  # keep the peak at one copy of [a | b]
     signs = np.sign(np.diag(r_aug)[:n])
     signs[signs == 0] = 1.0
     r = signs[:, None] * r_aug[:n, :n]

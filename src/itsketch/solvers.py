@@ -17,7 +17,8 @@ import scipy.linalg
 from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
 from .linalg import (
     SingularMatrixError,
-    _qr_solve_joined,
+    _as_rhs,
+    qr_solve,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -58,6 +59,8 @@ class SolverConfig:
             raise ValueError("zeta must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.extra_iters < 0:
+            raise ValueError("extra_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant != "basic" and self.d == n:
@@ -228,22 +231,16 @@ def _stagnated(changes: list[float], floor: float) -> bool:
     )
 
 
-def _as_rhs(a, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")
-    return b
-
-
-def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> np.ndarray:
-    """The d x (n+1) array [SA | Sb], drawn in a single pass over A and b,
-    or a ValueError naming A or b if it holds a NaN or inf: each reaches the
-    d-row sketch, so no m-row temporary is scanned."""
+def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """SA and Sb, views of one d x (n+1) array drawn in a single pass over A
+    and b, or a ValueError naming A or b if it holds a NaN or inf: each reaches
+    the d-row sketch, so no m-row temporary is scanned."""
     sab = s.apply(a, b)
-    for name, sketched in (("A", sab[:, :-1]), ("b", sab[:, -1])):
+    sa, sb = sab[:, :-1], sab[:, -1]
+    for name, sketched in (("A", sa), ("b", sb)):
         if not np.isfinite(sketched).all():
             raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
-    return sab
+    return sa, sb
 
 
 def sketch_and_solve(
@@ -255,7 +252,7 @@ def sketch_and_solve(
     A wrong-length b or a non-finite A or b raises ValueError; a singular R,
     SingularMatrixError.
     """
-    return _qr_solve_joined(_sketch(a, _as_rhs(a, b), s))
+    return qr_solve(*_sketch(a, _as_rhs(a, b), s))
 
 
 def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
@@ -433,8 +430,7 @@ def bad_variant(
         return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        sab = _sketch(a, b, _new_sketch(a, cfg))
-        sa, sb = sab[:, :-1], sab[:, -1]
+        sa, sb = _sketch(a, b, _new_sketch(a, cfg))
         gram = sa.T @ sa
         try:
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)

@@ -13,7 +13,6 @@ from blas_threads import probe_outputs
 from itsketch import linalg
 from itsketch.linalg import (
     SingularMatrixError,
-    _qr_solve_joined,
     _thin_qr,
     lambert_w0,
     qr_solve,
@@ -105,6 +104,26 @@ class TestQrSolve:
             qr_solve(np.ones((3, 5)), np.ones(3))
         with pytest.raises(ValueError):
             qr_solve(np.ones(3), np.ones(3))
+        a = np.random.default_rng(13).standard_normal((30, 4))
+        with pytest.raises(ValueError, match=r"^b must be a vector of length m=30"):
+            qr_solve(a, np.ones((30, 2)))
+        with pytest.raises(ValueError, match=r"^b must be a vector of length m=30"):
+            qr_solve(a, np.ones(29))
+
+    @pytest.mark.parametrize("m,n", [(40, 40), (400, 20), (1000, 50), (3000, 100), (1000, 128)])
+    def test_bits_equal_gufunc_route(self, m, n):
+        # the route qr_solve took before it shared the thin QR's kernel: the
+        # gufunc QR of [a | b] on one thread, the same sign fix and dtrtrs
+        rng = np.random.default_rng(m + n)
+        a, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        with linalg._one_thread_lock, linalg._one_blas_thread():
+            r_aug = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        signs = np.sign(np.diag(r_aug)[:n])
+        signs[signs == 0] = 1.0
+        r_ref = signs[:, None] * r_aug[:n, :n]
+        x_ref = solve_triangular(r_ref, signs * r_aug[:n, n])
+        x, r = qr_solve(a, b)
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 
     def test_joined_input_read_in_place(self):
         # the sketch-and-solve step holds [SA | Sb] as one array; its QR
@@ -113,7 +132,7 @@ class TestQrSolve:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            x, r = _qr_solve_joined(ab)
+            x, r = qr_solve(ab[:, :-1], ab[:, -1])
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -128,8 +147,9 @@ class TestQrSolve:
             "import hashlib, numpy as np\n"
             "from itsketch.linalg import qr_solve\n"
             "rng = np.random.default_rng(0)\n"
-            "x, r = qr_solve(rng.standard_normal((1000, 129)), rng.standard_normal(1000))\n"
-            "print(hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n"
+            "for m, n in ((1000, 129), (3000, 101)):\n"
+            "    x, r = qr_solve(rng.standard_normal((m, n)), rng.standard_normal(m))\n"
+            "    print(hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n"
         )
         outs = probe_outputs(probe)
         assert outs[0] == outs[1]
@@ -171,33 +191,33 @@ class TestOneBlasThread:
 
     def test_qr_runs_on_one_thread(self, blas_threads, monkeypatch):
         seen = []
-        qr = np.linalg.qr
+        geqrf = linalg._geqrf
 
-        def spy(a, mode):
+        def spy(*args):
             seen.append(blas_threads())
-            return qr(a, mode=mode)
+            return geqrf(*args)
 
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        _qr_solve_joined(self.ab)
-        assert seen == [1]
+        monkeypatch.setattr(linalg, "_geqrf", spy)
+        qr_solve(self.ab[:, :-1], self.ab[:, -1])
+        assert seen == [1, 1]  # workspace query, then the factorization
         assert blas_threads() == 2
 
     def test_count_restored_when_qr_raises(self, blas_threads, monkeypatch):
-        def fail(a, mode):
+        def fail(*args):
             raise np.linalg.LinAlgError("injected")
 
-        monkeypatch.setattr(np.linalg, "qr", fail)
+        monkeypatch.setattr(linalg, "_geqrf", fail)
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            _qr_solve_joined(self.ab)
+            qr_solve(self.ab[:, :-1], self.ab[:, -1])
         assert blas_threads() == 2
 
     def test_count_restored_after_concurrent_solves(self, blas_threads):
-        x_ref, r_ref = _qr_solve_joined(self.ab)
+        x_ref, r_ref = qr_solve(self.ab[:, :-1], self.ab[:, -1])
         mismatches = []
 
         def work():
             for _ in range(200):
-                x, r = _qr_solve_joined(self.ab)
+                x, r = qr_solve(self.ab[:, :-1], self.ab[:, -1])
                 if not (np.array_equal(x, x_ref) and np.array_equal(r, r_ref)):
                     mismatches.append(1)
 
@@ -216,10 +236,10 @@ class TestOneBlasThread:
         assert blas_threads() == 2
 
     def test_same_bits_without_openblas(self, monkeypatch):
-        x_ref, r_ref = _qr_solve_joined(self.ab)
+        x_ref, r_ref = qr_solve(self.ab[:, :-1], self.ab[:, -1])
         monkeypatch.setattr(linalg, "_get_threads", None)
         monkeypatch.setattr(linalg, "_set_threads", None)
-        x, r = _qr_solve_joined(self.ab)
+        x, r = qr_solve(self.ab[:, :-1], self.ab[:, -1])
         assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 
     def test_thin_qr_runs_both_copies_on_one_thread(self, blas_threads, scipy_blas_threads,
@@ -260,11 +280,11 @@ class TestOneBlasThread:
 
     def test_same_bits_without_scipy_openblas(self, monkeypatch):
         q_ref, r_ref = _thin_qr(self.ab)
-        x_ref, rs_ref = _qr_solve_joined(self.ab)
+        x_ref, rs_ref = qr_solve(self.ab[:, :-1], self.ab[:, -1])
         monkeypatch.setattr(linalg, "_scipy_get_threads", None)
         monkeypatch.setattr(linalg, "_scipy_set_threads", None)
         q, r = _thin_qr(self.ab)
-        x, rs = _qr_solve_joined(self.ab)
+        x, rs = qr_solve(self.ab[:, :-1], self.ab[:, -1])
         assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
         assert np.array_equal(x, x_ref) and np.array_equal(rs, rs_ref)
 

@@ -406,6 +406,13 @@ class TestIterativeSketching:
         with pytest.raises(ValueError):
             iterative_sketching(p.a, p.b, SolverConfig(d=50, variant="bogus"))
 
+    @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition])
+    def test_negative_extra_iters_rejected(self, solve):
+        # IS would run on to max_iters after the rule fired, and SP ignore it
+        p = gen_randsvd(400, 10, 1e4, 1e-6, 0)
+        with pytest.raises(ValueError, match=r"^extra_iters must be >= 0"):
+            solve(p.a, p.b, SolverConfig(d=100, max_iters=60, extra_iters=-1))
+
     @pytest.mark.parametrize("variant", ["damped", "momentum"])
     def test_eps_parameters_need_d_above_n(self, variant):
         # their parameters take eps = sqrt(n/d), which d = n puts at 1
