@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _write_csv(path: str, header: str, rows: list[list]) -> None:
     rows = sorted(rows, key=lambda r: [str(v) for v in r])
     with open(path, "w") as f:
@@ -333,17 +340,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kernel", help="kernel regression benchmark (CSV data or synthetic)")
     p.add_argument("--data", default=None, help="numeric CSV; synthetic data generated if omitted")
     p.add_argument("--target", default="y")
-    p.add_argument("--synthetic-rows", type=int, default=10_000)
+    p.add_argument("--synthetic-rows", type=_count, default=10_000)
     p.add_argument("--bandwidth", type=float, default=4.0)
     p.add_argument("--centers", type=int, nargs="+", default=[50])
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_count, default=3)
     _add_solver_flags(p, metrics=False)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("sparsebench", help="sparse problem timing scan")
     p.add_argument("--rows", type=int, nargs="+", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_count, default=3)
     _add_solver_flags(p, variant=False, accuracy=False, metrics=False)
     p.set_defaults(fn=cmd_sparsebench)
 

@@ -35,7 +35,7 @@ def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
     return float(np.linalg.norm(r_true - np.asarray(r_hat, dtype=float)) / nr)
 
 
-# Largest row count backward_error accepts by default.
+# Largest row count backward_error accepts.
 BE_MAX_M = 4000
 
 # Above this row count the m x (n+m) augmented SVD is replaced by an
@@ -84,23 +84,22 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     return min(nu, sigma)
 
 
-def backward_error(
-    a: np.ndarray, b: np.ndarray, x_hat: np.ndarray, max_m: int = BE_MAX_M
-) -> float:
+def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
     """Optimal relative Frobenius backward error of x_hat: the smallest
     ||dA||_F / ||A||_F such that x_hat exactly minimizes ||b - (A+dA)y||.
 
     Only A is perturbed. Computed from the exact minimal-perturbation
     characterization: with nu = ||r_hat|| / ||x_hat||,
     BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F.
-    A zero or non-finite x_hat, or an overflowing norm or nu, raises ValueError.
+    More than BE_MAX_M rows, a zero or non-finite x_hat, or an overflowing
+    norm or nu raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     m, n = a.shape
-    if m > max_m:
-        raise ValueError(f"backward_error capped at m <= {max_m}, got m = {m}")
+    if m > BE_MAX_M:
+        raise ValueError(f"backward_error capped at m <= {BE_MAX_M}, got m = {m}")
     nx = _norm2(x_hat)
     if not 0.0 < nx < np.inf:
         raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")

@@ -50,7 +50,6 @@ class SolverConfig:
     init: str = "sketch_and_solve"  # sketch_and_solve | zero
     max_iters: int = 50
     rng_seed: int = 0
-    extra_iters: int = 0  # iterations to run after the rule or the stagnation test fires
 
     def validate(self, n: int) -> None:
         if self.d < n:
@@ -59,8 +58,6 @@ class SolverConfig:
             raise ValueError("zeta must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.extra_iters < 0:
-            raise ValueError("extra_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant != "basic" and self.d == n:
@@ -194,14 +191,11 @@ def theoretical_bound_curve(
     return fe, re
 
 
-def _stop_threshold(
-    norm_x: float, norm_r: float, normest: float, condest: float, u: float,
-    gamma: float, rho: float,
-) -> float:
+def _stop_threshold(norm_x: float, norm_r: float, normest: float, condest: float) -> float:
     """Right-hand side of the residual-change stopping rule, which fires when
-    ||r_{i+1} - r_i|| <= u(gamma*normest*||x_{i+1}|| + rho*condest*||r_{i+1}||)
+    ||r_{i+1} - r_i|| <= U(STOP_GAMMA*normest*||x_{i+1}|| + STOP_RHO*condest*||r_{i+1}||)
     (inclusive), in _run_refinement and in sketch_and_precondition alike."""
-    return float(u * (gamma * normest * norm_x + rho * condest * norm_r))
+    return float(U * (STOP_GAMMA * normest * norm_x + STOP_RHO * condest * norm_r))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -355,34 +349,26 @@ def _run_refinement(
     r = b - a @ x
     _check_range(normest, _norm(r))
     _record(trace, b, x, r, truth)
-    reason: str | None = None  # set when the rule or the stagnation test fires
-    remaining_extra = cfg.extra_iters
     for _ in range(cfg.max_iters):
         x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
         r_next = b - a @ x_next
         change = _norm(r_next - r)
         resnorm = _norm(r_next)
         norm_x = _norm(x_next)
-        threshold = _stop_threshold(norm_x, resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO)
+        threshold = _stop_threshold(norm_x, resnorm, normest, condest)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
-        if guard.diverged(resnorm, x_next):
-            _record(trace, b, x_next, r_next, truth)
-            trace.stop_reason = "diverged"
-            return SolveResult(solution=x_next, trace=trace, config=cfg)
         x_prev, x, r = x, x_next, r_next
         _record(trace, b, x, r, truth)
-        if reason is None:
-            if change <= threshold:
-                reason = "stopped_by_rule"
-            elif _stagnated(trace.residual_changes, U * (norm_b + normest * norm_x)):
-                reason = "stagnated"
-        if reason is not None:
-            if remaining_extra == 0:
-                trace.stop_reason = reason
-                return SolveResult(solution=x, trace=trace, config=cfg)
-            remaining_extra -= 1
-    trace.stop_reason = "max_iters"
+        if guard.diverged(resnorm, x):
+            trace.stop_reason = "diverged"
+            break
+        if change <= threshold:
+            trace.stop_reason = "stopped_by_rule"
+            break
+        if _stagnated(trace.residual_changes, U * (norm_b + normest * norm_x)):
+            trace.stop_reason = "stagnated"
+            break
     return SolveResult(solution=x, trace=trace, config=cfg)
 
 
@@ -538,11 +524,11 @@ def sketch_and_precondition(
     by the R factor, starting from the sketch-and-solve or zero iterate.
 
     The trace's residual changes are LSQR's own |phi_k| (see lsqr), and the
-    solve stops by the residual-change rule with LSQR's phibar_k as ||r_k||,
-    after cfg.extra_iters more steps, as _run_refinement does; LSQR's own
-    tolerance and max_iters are the other two stops. b - Ax is formed only
-    for the errors against truth, so without truth each step makes two
-    products with A or A', not three."""
+    solve stops at the first step that meets the residual-change rule with
+    LSQR's phibar_k as ||r_k||, as _run_refinement does; LSQR's own tolerance
+    and max_iters are the other two stops. b - Ax is formed only for the
+    errors against truth, so without truth each step makes two products with
+    A or A', not three."""
     b = _as_rhs(a, b)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
@@ -550,26 +536,20 @@ def sketch_and_precondition(
     def record(x: np.ndarray) -> None:
         _record(trace, b, x, None if truth is None else b - a @ x, truth)
 
-    fired_at = math.inf  # the first step whose change met the rule
-
     def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
-        nonlocal fired_at
         x = x0 + tri_solve_upper(r_fac, z)
-        threshold = _stop_threshold(_norm(x), resnorm, normest, condest, U, STOP_GAMMA, STOP_RHO)
+        threshold = _stop_threshold(_norm(x), resnorm, normest, condest)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
         record(x)
-        if change <= threshold:
-            fired_at = min(fired_at, len(trace.residual_changes))
-        return len(trace.residual_changes) == fired_at + cfg.extra_iters
+        return change <= threshold
 
     record(x0)
 
-    x, iters = lsqr(
-        a, b, x0, r_fac, max_iters=cfg.max_iters,
-        rtol=U, callback=on_iterate,
-    )
-    if iters == fired_at + cfg.extra_iters:
+    x, iters = lsqr(a, b, x0, r_fac, max_iters=cfg.max_iters, rtol=U, callback=on_iterate)
+    # the callback ends LSQR at the step it returns True, so only the last
+    # traced step can have met the rule
+    if iters and trace.residual_changes[-1] <= trace.stop_thresholds[-1]:
         trace.stop_reason = "stopped_by_rule"
     elif iters < cfg.max_iters:
         trace.stop_reason = "lsqr_tolerance"

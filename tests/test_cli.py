@@ -100,6 +100,25 @@ class TestFlags:
         assert f"finite {name}" in capsys.readouterr().err
         assert not out.exists()
 
+    # --repeats 0 crashed after the loop (exit 1, kept for divergence), and
+    # --synthetic-rows 0 read back its own empty CSV as an I/O error (exit 2)
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--synthetic-rows", "50", "--centers", "5", "--repeats", "0"],
+        ["kernel", "--synthetic-rows", "50", "--centers", "5", "--repeats", "-2"],
+        ["sparsebench", "--rows", "100", "--n", "5", "--repeats", "0"],
+        ["kernel", "--synthetic-rows", "0", "--centers", "5"],
+        ["kernel", "--synthetic-rows", "x", "--centers", "5"],
+    ], ids=["kernel-repeats-0", "kernel-repeats-negative", "sparsebench-repeats-0",
+            "synthetic-rows-0", "synthetic-rows-not-an-int"])
+    def test_count_below_one_exits_64(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be an integer >= 1" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_d_equal_to_n_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run(["solve", *PROBLEM, "--d", "15", "--variant", "basic", "--max-iters", "3",

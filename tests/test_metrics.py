@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from itsketch.metrics import (
+    BE_MAX_M,
     WedinHypothesisError,
     _wks_sigma_min_fast,
     backward_error,
@@ -113,7 +114,7 @@ class TestBackwardError:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            backward_error(np.ones((11, 2)), np.ones(11), np.ones(2), max_m=10)
+            backward_error(np.ones((BE_MAX_M + 1, 2)), np.ones(BE_MAX_M + 1), np.ones(2))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(1)

@@ -42,10 +42,28 @@ def test_sparse_sign_embedding_fields():
 
 
 def test_solver_config_fields():
-    # every field is set by a caller; a new one must be added here on purpose
+    # every field is set by a caller (test_every_solver_config_field_is_set);
+    # a new one must be added here on purpose
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "d", "zeta", "variant", "init", "max_iters", "rng_seed", "extra_iters",
+        "d", "zeta", "variant", "init", "max_iters", "rng_seed",
     ]
+
+
+def test_every_solver_config_field_is_set():
+    # the keywords the package and the benchmark pass to SolverConfig(...) and
+    # to dataclasses.replace(...), which only SolverConfig goes through there
+    root = pathlib.Path(__file__).parents[1]
+    paths = sorted(root.glob("src/itsketch/*.py")) + sorted(root.glob("bench/*.py"))
+    assert paths
+    set_by_callers = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("SolverConfig", "replace"):
+                    set_by_callers |= {kw.arg for kw in node.keywords}
+    assert set_by_callers == {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def test_solve_result_fields():

@@ -152,31 +152,40 @@ class TestBoundCurve:
             theoretical_bound_curve("basic", 0.3, 1.0, 1.0, 1.0, iters=2)
 
 
-def _rule_fires(r_next, r_curr, x_next, normest, condest, u, gamma=STOP_GAMMA, rho=STOP_RHO):
+def _rule_fires(r_next, r_curr, x_next, normest, condest):
     """The residual-change rule as both solver loops apply it: the formed
     change against _stop_threshold, inclusive."""
     change = np.linalg.norm(r_next - r_curr)
     return bool(change <= _stop_threshold(
-        np.linalg.norm(x_next), np.linalg.norm(r_next), normest, condest, u, gamma, rho))
+        np.linalg.norm(x_next), np.linalg.norm(r_next), normest, condest))
+
+
+def _without_stops(monkeypatch):
+    """Switch off the stopping rule and the stagnation test: a solve then
+    runs to max_iters (SP also to LSQR's own tolerance) unless it diverges."""
+    monkeypatch.setattr(itsketch.solvers, "_stop_threshold", lambda *args: -math.inf)
+    monkeypatch.setattr(itsketch.solvers, "STAG_FLOOR", 0.0)
 
 
 class TestShouldStop:
     def test_equal_residuals(self):
         r = np.array([1.0, 2.0])
-        assert _rule_fires(r, r, np.ones(2), 1.0, 1.0, 1e-16)
+        assert _rule_fires(r, r, np.ones(2), 1.0, 1.0)
 
     def test_large_change(self):
         assert not _rule_fires(
-            np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.ones(2), 1.0, 1.0, 1e-16
+            np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.ones(2), 1.0, 1.0
         )
 
-    def test_inclusive_boundary(self):
-        # change = 1; rhs = u*(gamma*normest*||x|| + rho*condest*||r||) = 1 exactly
+    def test_inclusive_boundary(self, monkeypatch):
+        # change = 1; rhs = U*(STOP_GAMMA*normest*||x|| + STOP_RHO*condest*||r||) = 1 exactly
         r_next = np.array([1.0, 0.0])
         r_curr = np.array([0.0, 0.0])
         x = np.array([1.0, 0.0])
-        # u=0.5, gamma=1, normest=1, rho=0.04, condest=25 -> 0.5*(1 + 0.04*25*1) = 1
-        assert _rule_fires(r_next, r_curr, x, 1.0, 25.0, 0.5, gamma=1.0, rho=0.04)
+        # U=0.5, gamma=1, normest=1, rho=0.04, condest=25 -> 0.5*(1 + 0.04*25*1) = 1
+        for name, value in (("U", 0.5), ("STOP_GAMMA", 1.0), ("STOP_RHO", 0.04)):
+            monkeypatch.setattr(itsketch.solvers, name, value)
+        assert _rule_fires(r_next, r_curr, x, 1.0, 25.0)
 
 
 def _same_iterates(xs, ys):
@@ -239,11 +248,14 @@ class TestStagnated:
         res = iterative_sketching(p.a, p.b, SolverConfig(d=200, max_iters=100, rng_seed=0))
         assert forward_error(x_ref, res.solution) <= 1e-13
 
-    def test_extra_iters_after_stagnated(self):
+    def test_extra_iters_after_stagnated(self, monkeypatch):
+        # the stagnated solve is the prefix of one that runs 4 steps past it
         p, cfg = self._sparse_problem()
         res0 = iterative_sketching(p.a, p.b, cfg)
-        res4 = iterative_sketching(p.a, p.b, replace(cfg, extra_iters=4))
-        assert res0.trace.stop_reason == res4.trace.stop_reason == "stagnated"
+        assert res0.trace.stop_reason == "stagnated"
+        _without_stops(monkeypatch)
+        res4 = iterative_sketching(p.a, p.b, replace(cfg, max_iters=res0.iterations + 4))
+        assert res4.trace.stop_reason == "max_iters"
         assert res4.iterations == res0.iterations + 4
         assert _same_iterates(res4.trace.iterates[: res0.iterations + 1], res0.trace.iterates)
 
@@ -339,13 +351,18 @@ class TestIterativeSketching:
             d = tri_solve_upper(r_fac, tri_solve_upper_transpose(r_fac, c))
             assert np.array_equal(tr.iterates[i + 1], tr.iterates[i] + d)
 
-    def test_plateau_stability_extra_iters(self):
+    def test_plateau_stability_extra_iters(self, monkeypatch):
+        # 3 steps past the rule's stop, the forward error stays within 10x
         p = gen_randsvd(2000, 30, 1e8, 1e-4, 4)
         base = SolverConfig(d=600, variant="basic", max_iters=200, rng_seed=4)
         res0 = iterative_sketching(p.a, p.b, base, p.truth)
         assert res0.trace.stop_reason == "stopped_by_rule"
-        res3 = iterative_sketching(p.a, p.b, replace(base, extra_iters=3), p.truth)
+        _without_stops(monkeypatch)
+        res3 = iterative_sketching(
+            p.a, p.b, replace(base, max_iters=res0.iterations + 3), p.truth)
+        assert res3.trace.stop_reason == "max_iters"
         assert res3.iterations == res0.iterations + 3
+        assert _same_iterates(res3.trace.iterates[: res0.iterations + 1], res0.trace.iterates)
         fe_stop, fe_late = res0.trace.fe[-1], res3.trace.fe[-1]
         assert fe_late <= 10 * fe_stop and fe_stop <= 10 * fe_late
 
@@ -405,13 +422,6 @@ class TestIterativeSketching:
             iterative_sketching(p.a, p.b, SolverConfig(d=5, variant="basic"))
         with pytest.raises(ValueError):
             iterative_sketching(p.a, p.b, SolverConfig(d=50, variant="bogus"))
-
-    @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition])
-    def test_negative_extra_iters_rejected(self, solve):
-        # IS would run on to max_iters after the rule fired, and SP ignore it
-        p = gen_randsvd(400, 10, 1e4, 1e-6, 0)
-        with pytest.raises(ValueError, match=r"^extra_iters must be >= 0"):
-            solve(p.a, p.b, SolverConfig(d=100, max_iters=60, extra_iters=-1))
 
     @pytest.mark.parametrize("variant", ["damped", "momentum"])
     def test_eps_parameters_need_d_above_n(self, variant):
@@ -522,14 +532,39 @@ class TestSketchAndPrecondition:
         assert cut.trace.stop_reason == "max_iters"
         assert cut.iterations == 5
 
-    def test_extra_iters_after_rule(self):
+    def test_extra_iters_after_rule(self, monkeypatch):
+        # the solve the rule stopped is the prefix of LSQR run 3 steps past it
         p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
         cfg = SolverConfig(d=1000, max_iters=100)
         res0 = sketch_and_precondition(p.a, p.b, cfg)
-        res3 = sketch_and_precondition(p.a, p.b, replace(cfg, extra_iters=3))
-        assert res0.trace.stop_reason == res3.trace.stop_reason == "stopped_by_rule"
+        assert res0.trace.stop_reason == "stopped_by_rule"
+        _without_stops(monkeypatch)
+        res3 = sketch_and_precondition(p.a, p.b, replace(cfg, max_iters=res0.iterations + 3))
+        assert res3.trace.stop_reason == "max_iters"
         assert res3.iterations == res0.iterations + 3
         assert _same_iterates(res3.trace.iterates[: res0.iterations + 1], res0.trace.iterates)
+
+    def test_stop_reason_without_a_step(self):
+        p = gen_randsvd(400, 10, 1e4, 1e-6, 0)
+        for b, max_iters, reason in (
+            (p.b, 0, "max_iters"),
+            (np.zeros(400), 0, "max_iters"),
+            (np.zeros(400), 10, "lsqr_tolerance"),  # b - Ax0 = 0: LSQR takes no step
+        ):
+            res = sketch_and_precondition(p.a, b, SolverConfig(d=100, max_iters=max_iters))
+            assert res.trace.stop_reason == reason
+            assert res.iterations == 0 and res.trace.residual_changes == []
+
+    @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition])
+    def test_rule_at_the_last_allowed_step(self, solve):
+        # max_iters equal to the step the rule fires at keeps the rule's reason
+        p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
+        cfg = SolverConfig(d=1000, variant="basic", max_iters=100)
+        free = solve(p.a, p.b, cfg)
+        assert free.trace.stop_reason == "stopped_by_rule"
+        cut = solve(p.a, p.b, replace(cfg, max_iters=free.iterations))
+        assert cut.trace.stop_reason == "stopped_by_rule"
+        assert _same_iterates(cut.trace.iterates, free.trace.iterates)
 
     @staticmethod
     def _problem(dense):
