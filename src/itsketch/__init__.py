@@ -6,7 +6,6 @@ Dense linear-algebra kernels, sparse sign embeddings, iterative sketching
 """
 
 from .linalg import (
-    lambert_w0,
     qr_solve,
     svd_values,
     tri_solve_upper,
@@ -47,7 +46,6 @@ __all__ = [
     "tri_solve_upper",
     "tri_solve_upper_transpose",
     "svd_values",
-    "lambert_w0",
     "SparseSignEmbedding",
     "DistortionReport",
     "measure_distortion",

@@ -216,23 +216,21 @@ def cmd_dims(args) -> int:
     return EXIT_OK
 
 
-def _synthetic_mixture_csv(path: str, rows: int, seed: int) -> None:
+def _synthetic_mixture(rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-mixture regression data: 4 features, 3 clusters, noisy target."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=3.0, size=(3, 4))
     labels = rng.integers(0, 3, size=rows)
     pts = centers[labels] + rng.standard_normal((rows, 4))
     target = np.sin(pts[:, 0]) + 0.5 * pts[:, 1] + 0.1 * rng.standard_normal(rows)
-    save_csv(path, ["f0", "f1", "f2", "f3", "y"], np.column_stack([pts, target]))
+    return pts, target
 
 
 def cmd_kernel(args) -> int:
     if args.data is None:
-        data_path = args.out + ".data.csv"
-        _synthetic_mixture_csv(data_path, args.synthetic_rows, args.seed)
+        points, targets = _synthetic_mixture(args.synthetic_rows, args.seed)
     else:
-        data_path = args.data
-    points, targets = load_csv(data_path, args.target)
+        points, targets = load_csv(args.data, args.target)
     rows = []
     for n in args.centers:
         prob = kernel_problem(points, targets, args.bandwidth, n, args.seed)
@@ -339,7 +337,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("kernel", help="kernel regression benchmark (CSV data or synthetic)")
     p.add_argument("--data", default=None, help="numeric CSV; synthetic data generated if omitted")
-    p.add_argument("--target", default="y")
+    p.add_argument("--target", default="y", help="target column of --data")
     p.add_argument("--synthetic-rows", type=_count, default=10_000)
     p.add_argument("--bandwidth", type=float, default=4.0)
     p.add_argument("--centers", type=int, nargs="+", default=[50])

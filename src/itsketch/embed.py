@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import lambertw
 
-from .linalg import lambert_w0, svd_values
+from .linalg import svd_values
 
 
 @dataclass(frozen=True)
@@ -174,11 +175,11 @@ def choose_dim(m: int, n: int, accuracy_u: float, variant: str) -> int:
     log_inv_u = math.log(1.0 / accuracy_u)
     if variant == "basic":
         arg = (6 - 4 * math.sqrt(2)) * (m / n**2) * log_inv_u
-        d = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambert_w0(arg)))
+        d = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambertw(arg).real))
         return max(d, 20 * n)
     if variant in ("damped", "momentum"):
         a = 2.0 if variant == "damped" else 1.0
         arg = (4 * m / (a * n**2)) * log_inv_u
-        d = math.ceil(a * n * math.exp(lambert_w0(arg)))
+        d = math.ceil(a * n * math.exp(lambertw(arg).real))
         return max(d, 4 * n)
     raise ValueError(f"unknown variant {variant!r}")

@@ -1,16 +1,15 @@
 """Dense linear-algebra kernels shared by the whole package: thin wrappers
-around LAPACK (via numpy/scipy) plus Lambert W, written directly. The
-triangular solves call dtrtrs and check only shapes and a zero diagonal. Every
-QR is _householder: NumPy's dgeqrf (and dorgqr for Q) in place on one
-column-major copy, with both OpenBLAS copies (NumPy's and SciPy's) held at one
-thread for qr_solve and for thin QRs of at most _THIN_QR_ONE_THREAD_MAX entries.
+around LAPACK and BLAS (via numpy/scipy). The triangular solves call dtrtrs
+and check only shapes and a zero diagonal. Every QR is _householder: NumPy's
+dgeqrf (and dorgqr for Q) in place on one column-major copy, with both
+OpenBLAS copies (NumPy's and SciPy's) held at one thread for qr_solve and for
+thin QRs of at most _THIN_QR_ONE_THREAD_MAX entries.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 import threading
 from pathlib import Path
 
@@ -174,6 +173,13 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tri_solve_upper(r, signs * r_aug[:n, n]), r
 
 
+def _norm2(v: np.ndarray) -> float:
+    """2-norm by BLAS nrm2, which scales as it sums and so overflows only when
+    the norm itself does (np.linalg.norm squares first, past about 1.3e154).
+    A NaN or inf entry gives a NaN or inf norm."""
+    return float(scipy.linalg.norm(v, check_finite=False))
+
+
 def svd_values(a: np.ndarray) -> np.ndarray:
     """Singular values of a, sorted descending."""
     a = np.asarray(a, dtype=float)
@@ -181,22 +187,3 @@ def svd_values(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     return np.linalg.svd(a, compute_uv=False)
 
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function for x >= 0.
-
-    Newton iteration from the initial guess log(1 + x); converges to
-    1e-14 absolute well within the 100-iteration cap for all x >= 0.
-    """
-    if x < 0:
-        raise ValueError(f"lambert_w0 requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    w = math.log1p(x)
-    for _ in range(100):
-        ew = math.exp(w)
-        step = (w * ew - x) / (ew * (1.0 + w))
-        w -= step
-        if abs(step) <= 1e-14:
-            break
-    return w

@@ -8,9 +8,8 @@ bounds used as reference accuracy levels.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import _thin_qr, svd_values
+from .linalg import _norm2, _thin_qr, svd_values
 
 
 class WedinHypothesisError(ValueError):
@@ -38,21 +37,10 @@ def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
 # Largest row count backward_error accepts.
 BE_MAX_M = 4000
 
-# Above this row count the m x (n+m) augmented SVD is replaced by an
-# algebraically equivalent small SVD (see _wks_sigma_min_fast).
-_BE_DIRECT_MAX_M = 400
-
-
-def _norm2(v: np.ndarray) -> float:
-    """2-norm by BLAS nrm2, which scales as it sums and so overflows only when
-    the norm itself does (np.linalg.norm squares first, past about 1.3e154).
-    A NaN or inf entry gives a NaN or inf norm."""
-    return float(scipy.linalg.norm(v, check_finite=False))
-
 
 def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     """sigma_min of C = [A | nu*(I - qq')] with q = r_hat/||r_hat||, without
-    forming the m x (n+m) matrix. Requires m > n + 1.
+    forming the m x (n+m) matrix. Holds for any m >= n.
 
     sigma_min(C)^2 minimizes ||A'u||^2 + nu^2 ||(I - qq')u||^2 over unit u.
     With A = QR (economy) and s the normalized component of q orthogonal to
@@ -64,9 +52,11 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
 
     F is (2n+1) x (n+1), and working with it directly (instead of the
     eigenvalues of C C') keeps absolute accuracy at the unit-roundoff level
-    of ||A||, which matters when sigma_min is many orders below ||A||.
+    of ||A||, which matters when sigma_min is many orders below ||A||. Where
+    q lies in range(A), as it always does at m = n, z's last entry is 0 and
+    the extra coordinate gives a singular value of exactly nu, the cap.
     """
-    m, n = a.shape
+    n = a.shape[1]
     q_hat, r_fac = _thin_qr(a)
     q = r_hat / _norm2(r_hat)
     p = q_hat.T @ q
@@ -90,9 +80,10 @@ def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
 
     Only A is perturbed. Computed from the exact minimal-perturbation
     characterization: with nu = ||r_hat|| / ||x_hat||,
-    BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F.
-    More than BE_MAX_M rows, a zero or non-finite x_hat, or an overflowing
-    norm or nu raises ValueError.
+    BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F, where
+    sigma_min comes from a (2n+1) x (n+1) matrix (_wks_sigma_min_fast).
+    An A wider than tall or with more than BE_MAX_M rows, a zero or
+    non-finite x_hat, or an overflowing norm or nu raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -100,23 +91,20 @@ def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
     m, n = a.shape
     if m > BE_MAX_M:
         raise ValueError(f"backward_error capped at m <= {BE_MAX_M}, got m = {m}")
+    if m < n:
+        raise ValueError(f"backward_error requires m >= n, got A of shape {m} x {n}")
     nx = _norm2(x_hat)
     if not 0.0 < nx < np.inf:
         raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
-    r_hat = b - a @ x_hat
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        r_hat = b - a @ x_hat
     nr = _norm2(r_hat)
     if nr == 0.0:
         return 0.0
     nu = nr / nx
     if not np.isfinite(nu):
         raise ValueError(f"backward_error requires a finite ||r_hat|| / ||x_hat||, got {nu}")
-    if m <= _BE_DIRECT_MAX_M:
-        q = r_hat / nr
-        aug = np.column_stack([a, nu * (np.eye(m) - np.outer(q, q))])
-        sigma_min = float(svd_values(aug)[-1])
-    else:
-        sigma_min = _wks_sigma_min_fast(a, r_hat, nu)
-    return float(min(nu, sigma_min) / np.linalg.norm(a, "fro"))
+    return float(_wks_sigma_min_fast(a, r_hat, nu) / np.linalg.norm(a, "fro"))
 
 
 def wedin_bounds(

@@ -18,6 +18,7 @@ from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
 from .linalg import (
     SingularMatrixError,
     _as_rhs,
+    _norm2,
     qr_solve,
     svd_values,
     tri_solve_upper,
@@ -342,8 +343,7 @@ def _run_refinement(
     alpha, beta = _update_coeffs(cfg, x0.shape[0])
     trace = SolveTrace(normest=normest, condest=condest)
     guard = _DivergenceGuard()
-    e = math.frexp(max(b.max(), -b.min()))[1]  # b * 2^-e: exact, and b*b cannot overflow
-    norm_b = float(np.ldexp(_norm(np.ldexp(b, -e)), e))
+    norm_b = _norm2(b)
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = b - a @ x

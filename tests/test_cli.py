@@ -87,7 +87,7 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())  # no --out file, and no data file either
 
     # the generator names the value; a NaN or inf used to reach the solver first
     @pytest.mark.parametrize("cond,resnorm,name", [

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import lambertw
 
 from itsketch import SolverConfig, gen_sparse, iterative_sketching
 from itsketch.embed import (
@@ -16,7 +17,7 @@ from itsketch.embed import (
     measure_distortion,
     sparse_sign_new,
 )
-from itsketch.linalg import lambert_w0, svd_values
+from itsketch.linalg import svd_values
 from itsketch.problems import _distinct_rows
 from reference import householder_qr_econ, osnap_sparse_sign
 
@@ -321,15 +322,25 @@ class TestChooseDim:
     def test_basic_small_ratio_hits_floor(self):
         m, n, u = 100, 50, 1e-16
         arg = (6 - 4 * math.sqrt(2)) * (m / n**2) * math.log(1 / u)
-        formula = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambert_w0(arg)))
+        formula = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambertw(arg).real))
         assert formula < 20 * n
         assert choose_dim(m, n, u, "basic") == 20 * n
 
     def test_matches_direct_evaluation_when_above_floor(self):
         m, n, u = 500_000, 50, 1e-16
         arg = (6 - 4 * math.sqrt(2)) * (m / n**2) * math.log(1 / u)
-        formula = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambert_w0(arg)))
+        formula = math.ceil((6 + 4 * math.sqrt(2)) * n * math.exp(lambertw(arg).real))
         assert choose_dim(m, n, u, "basic") == max(formula, 20 * n)
+
+    # d for (basic, damped, momentum); the formula tests take W from the same
+    # scipy.special.lambertw as choose_dim, so only these check d itself
+    @pytest.mark.parametrize("m,n,u,dims", [
+        (4000, 50, 1e-16, (5328, 3356, 2903)),
+        (100_000, 100, 2.0**-53, (41214, 29439, 26361)),
+        (200_000, 100, 2.0**-53, (71417, 52722, 47659)),
+    ])
+    def test_pinned_values(self, m, n, u, dims):
+        assert tuple(choose_dim(m, n, u, v) for v in ("basic", "damped", "momentum")) == dims
 
     @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
     def test_monotone_in_m(self, variant):

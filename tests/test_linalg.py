@@ -1,6 +1,5 @@
 """Unit tests for the dense linear-algebra kernels."""
 
-import math
 import sys
 import threading
 import tracemalloc
@@ -14,7 +13,6 @@ from itsketch import linalg
 from itsketch.linalg import (
     SingularMatrixError,
     _thin_qr,
-    lambert_w0,
     qr_solve,
     svd_values,
     tri_solve_upper,
@@ -390,33 +388,6 @@ class TestSvdValues:
         sv = svd_values(a)
         for transformed in (ql @ a, a @ qr_, ql @ a @ qr_):
             np.testing.assert_allclose(svd_values(transformed), sv, rtol=1e-10)
-
-
-class TestLambertW0:
-    def test_zero(self):
-        assert lambert_w0(0.0) == 0.0
-
-    def test_e_maps_to_one(self):
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unity(self):
-        w = lambert_w0(1.0)
-        assert w * math.exp(w) == pytest.approx(1.0, rel=1e-12)
-        assert w == pytest.approx(0.567143, abs=1e-6)
-
-    def test_defining_equation_on_grid(self):
-        for x in np.arange(0.1, 100.0, 0.1):
-            w = lambert_w0(float(x))
-            assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
-
-    def test_monotone_on_grid(self):
-        grid = np.arange(0.0, 100.1, 0.1)
-        vals = [lambert_w0(float(x)) for x in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.5)
 
 
 def test_qrfactors_holds_factors():

@@ -112,6 +112,10 @@ class TestBackwardError:
         with pytest.raises(ValueError, match="r_hat"):
             backward_error(1e200 * np.ones((50, 2)), np.ones(50), np.array([1e150, 1.0]))
 
+    def test_wide_a_raises_value_error(self):
+        with pytest.raises(ValueError, match="shape 3 x 4"):
+            backward_error(np.ones((3, 4)), np.ones(3), np.ones(4))
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             backward_error(np.ones((BE_MAX_M + 1, 2)), np.ones(BE_MAX_M + 1), np.ones(2))
@@ -125,7 +129,7 @@ class TestBackwardError:
         for c in (1e-6, 3.0, 1e8):
             assert backward_error(c * a, c * b, x_hat) == pytest.approx(be, rel=1e-10)
 
-    @pytest.mark.parametrize("m", [20, 500], ids=["direct", "fast-path"])
+    @pytest.mark.parametrize("m", [20, 500])
     def test_scaling_invariance_huge_x(self, m):
         # ||s x|| and ||s r|| are finite at s = 1e158, but their squares overflow
         rng = np.random.default_rng(1)
@@ -146,7 +150,7 @@ class TestBackwardError:
             b = a @ x + 10.0 ** rng.integers(-10, -1) * rng.standard_normal(m)
             x_hat = np.linalg.lstsq(a, b, rcond=None)[0]
             x_hat = x_hat + 10.0 ** rng.integers(-12, -3) * rng.standard_normal(n)
-            be_fast = backward_error(a, b, x_hat)  # m > 400: reduced path
+            be_fast = backward_error(a, b, x_hat)
             be_lit = _be_literal(a, b, x_hat)
             # The literal SVD itself carries absolute noise ~u*||aug||/||A||_F.
             tol = 1e-6 * be_lit + 50 * U
@@ -163,15 +167,17 @@ class TestBackwardError:
         be_off = backward_error(p.a, p.b, x_off)
         assert be_off > be_qr
 
-    def test_sigma_min_fast_direct_agreement_small(self):
+    # m = n + 1 and m = n included: the reduced SVD holds for any m >= n
+    @pytest.mark.parametrize("m,n", [(50, 5), (6, 5), (5, 5)])
+    def test_sigma_min_fast_direct_agreement_small(self, m, n):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((50, 5))
-        b = rng.standard_normal(50)
-        x_hat = np.linalg.lstsq(a, b, rcond=None)[0] + 1e-6 * rng.standard_normal(5)
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        x_hat = np.linalg.lstsq(a, b, rcond=None)[0] + 1e-6 * rng.standard_normal(n)
         r_hat = b - a @ x_hat
         nu = np.linalg.norm(r_hat) / np.linalg.norm(x_hat)
         q = r_hat / np.linalg.norm(r_hat)
-        aug = np.column_stack([a, nu * (np.eye(50) - np.outer(q, q))])
+        aug = np.column_stack([a, nu * (np.eye(m) - np.outer(q, q))])
         direct = min(nu, np.linalg.svd(aug, compute_uv=False)[-1])
         fast = _wks_sigma_min_fast(a, r_hat, nu)
         assert fast == pytest.approx(direct, rel=1e-8, abs=100 * U * np.linalg.norm(a))
