@@ -19,34 +19,32 @@ class WedinHypothesisError(ValueError):
 def forward_error(x_true: np.ndarray, x_hat: np.ndarray) -> float:
     """Relative forward error ||x - x_hat|| / ||x||."""
     x_true = np.asarray(x_true, dtype=float)
-    nx = np.linalg.norm(x_true)
+    nx = _norm2(x_true)
     if nx == 0.0:
         raise ValueError("forward_error: true solution has zero norm")
-    return float(np.linalg.norm(x_true - np.asarray(x_hat, dtype=float)) / nx)
+    return _norm2(x_true - np.asarray(x_hat, dtype=float)) / nx
 
 
 def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
     """Relative residual error ||r(x) - r(x_hat)|| / ||r(x)||."""
     r_true = np.asarray(r_true, dtype=float)
-    nr = np.linalg.norm(r_true)
+    nr = _norm2(r_true)
     if nr == 0.0:
         raise ValueError("residual_error: true residual has zero norm (consistent system)")
-    return float(np.linalg.norm(r_true - np.asarray(r_hat, dtype=float)) / nr)
+    return _norm2(r_true - np.asarray(r_hat, dtype=float)) / nr
 
 
-# Largest row count backward_error accepts.
-BE_MAX_M = 4000
+def _backward_error_of(a: np.ndarray):
+    """be(b, x_hat) = backward_error(a, b, x_hat), with the work that depends
+    only on a (the shape check, a thin QR and ||A||_F) done here, once.
 
-
-def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
-    """sigma_min of C = [A | nu*(I - qq')] with q = r_hat/||r_hat||, without
-    forming the m x (n+m) matrix. Holds for any m >= n.
-
-    sigma_min(C)^2 minimizes ||A'u||^2 + nu^2 ||(I - qq')u||^2 over unit u.
-    With A = QR (economy) and s the normalized component of q orthogonal to
-    range(Q), any u-component outside span([Q s]) leaves the first term at
-    zero and contributes a full nu^2 per unit mass to the second, so the
-    minimum is min(nu^2, ||F w||^2 over unit w) where u = [Q s] w and
+    sigma_min of C = [A | nu*(I - qq')], q = r_hat/||r_hat||, comes without
+    forming the m x (n+m) matrix, for any m >= n. sigma_min(C)^2 minimizes
+    ||A'u||^2 + nu^2 ||(I - qq')u||^2 over unit u. With A = QR (economy) and
+    s the normalized component of q orthogonal to range(Q), any u-component
+    outside span([Q s]) leaves the first term at zero and contributes a full
+    nu^2 per unit mass to the second, so the minimum is min(nu^2, ||F w||^2
+    over unit w) where u = [Q s] w and
 
         F = [[R', 0], [nu * (I - zz')]],   z = [Q'q; ||(I - QQ')q||].
 
@@ -56,22 +54,36 @@ def _wks_sigma_min_fast(a: np.ndarray, r_hat: np.ndarray, nu: float) -> float:
     q lies in range(A), as it always does at m = n, z's last entry is 0 and
     the extra coordinate gives a singular value of exactly nu, the cap.
     """
-    n = a.shape[1]
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"backward_error requires m >= n, got A of shape {m} x {n}")
     q_hat, r_fac = _thin_qr(a)
-    q = r_hat / _norm2(r_hat)
-    p = q_hat.T @ q
-    tau = float(np.linalg.norm(q - q_hat @ p))
-    z = np.concatenate([p, [tau]])
-    nz = np.linalg.norm(z)
-    if nz > 0:
-        z = z / nz
-    proj = np.eye(n + 1) - np.outer(z, z)
-    f = np.vstack([
-        np.column_stack([r_fac.T, np.zeros((n, 1))]),
-        nu * proj,
-    ])
-    sigma = float(svd_values(f)[-1])
-    return min(nu, sigma)
+    f_top = np.column_stack([r_fac.T, np.zeros((n, 1))])  # F's rows [R', 0]
+    norm_a = _norm2(a.ravel())  # the 2-D norms square before they sum
+
+    def be(b: np.ndarray, x_hat: np.ndarray) -> float:
+        x_hat = np.asarray(x_hat, dtype=float)
+        nx = _norm2(x_hat)
+        if not 0.0 < nx < np.inf:
+            raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            r_hat = b - a @ x_hat
+        nr = _norm2(r_hat)
+        if nr == 0.0:
+            return 0.0
+        nu = nr / nx
+        if not np.isfinite(nu):
+            raise ValueError(f"backward_error requires a finite ||r_hat|| / ||x_hat||, got {nu}")
+        q = r_hat / nr
+        p = q_hat.T @ q
+        tau = float(np.linalg.norm(q - q_hat @ p))
+        z = np.concatenate([p, [tau]])
+        z /= np.linalg.norm(z)  # 1 up to rounding: q is a unit vector
+        f = np.vstack([f_top, nu * (np.eye(n + 1) - np.outer(z, z))])
+        return float(min(nu, svd_values(f)[-1]) / norm_a)
+
+    return be
 
 
 def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
@@ -81,30 +93,11 @@ def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
     Only A is perturbed. Computed from the exact minimal-perturbation
     characterization: with nu = ||r_hat|| / ||x_hat||,
     BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F, where
-    sigma_min comes from a (2n+1) x (n+1) matrix (_wks_sigma_min_fast).
-    An A wider than tall or with more than BE_MAX_M rows, a zero or
-    non-finite x_hat, or an overflowing norm or nu raises ValueError.
+    sigma_min comes from a (2n+1) x (n+1) matrix (_backward_error_of), at one
+    thin QR of A. An A wider than tall, a zero or non-finite x_hat, or an
+    overflowing norm or nu raises ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    m, n = a.shape
-    if m > BE_MAX_M:
-        raise ValueError(f"backward_error capped at m <= {BE_MAX_M}, got m = {m}")
-    if m < n:
-        raise ValueError(f"backward_error requires m >= n, got A of shape {m} x {n}")
-    nx = _norm2(x_hat)
-    if not 0.0 < nx < np.inf:
-        raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        r_hat = b - a @ x_hat
-    nr = _norm2(r_hat)
-    if nr == 0.0:
-        return 0.0
-    nu = nr / nx
-    if not np.isfinite(nu):
-        raise ValueError(f"backward_error requires a finite ||r_hat|| / ||x_hat||, got {nu}")
-    return float(_wks_sigma_min_fast(a, r_hat, nu) / np.linalg.norm(a, "fro"))
+    return _backward_error_of(a)(b, x_hat)
 
 
 def wedin_bounds(

@@ -120,10 +120,10 @@ def kernel_problem(
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     m = points.shape[0]
-    if subset_size > m:
-        raise ValueError(f"subset_size {subset_size} exceeds row count {m}")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 1 <= subset_size <= m:
+        raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"need a positive finite bandwidth, got {bandwidth}")
     mean = points.mean(axis=0)
     std = points.std(axis=0)
     keep = std > 0
@@ -146,7 +146,7 @@ class CsvParseError(ValueError):
 
 def load_csv(path: str, target_column: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a numeric CSV with header; returns (features, targets) with row
-    order preserved."""
+    order preserved. A cell that is not a finite number raises CsvParseError."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -169,6 +169,8 @@ def load_csv(path: str, target_column: str) -> tuple[np.ndarray, np.ndarray]:
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise CsvParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            if not np.isfinite(vals).all():
+                raise CsvParseError(f"{path}:{lineno}: non-finite cell in {row}")
             targs.append(vals[t_idx])
             feats.append([v for j, v in enumerate(vals) if j != t_idx])
     if not feats:

@@ -53,6 +53,8 @@ class SolverConfig:
     rng_seed: int = 0
 
     def validate(self, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"A must have at least one column, got n={n}")
         if self.d < n:
             raise ValueError(f"embedding dimension d={self.d} must be >= n={n}")
         if self.zeta < 1:

@@ -1,11 +1,13 @@
 """In-process tests of the experiment-runner CLI: exit codes, CSV schemas,
 and determinism."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+import itsketch.metrics
 from blas_threads import probe_outputs
 from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, _map_trials, build_parser, main
 from itsketch.embed import choose_dim
@@ -46,18 +48,6 @@ class TestFlags:
         assert exc.value.code == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "convergence", "bad", "compare"])
-    def test_metrics_full_over_be_cap_exits_64(self, tmp_path, capsys, command):
-        out = tmp_path / "o.csv"
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--m", "4001", "--n", "5", "--cond", "10", "--resnorm", "1e-3",
-                 "--metrics", "full", "--out", str(out)])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "--m <= 4000" in err and "Traceback" not in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv", [
         ["solve", *PROBLEM, "--d", "abc"],
         ["solve", "--m", "400", "--n", "50", "--cond", "1e4", "--resnorm", "1e-4", "--d", "30"],
@@ -77,16 +67,22 @@ class TestFlags:
         assert '--d must be "auto" or an integer >= n' in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--m", "40", "--n", "50", "--cond", "10", "--resnorm", "1e-3"],
-        ["kernel", "--synthetic-rows", "100", "--centers", "200"],
-    ], ids=["solve-m-below-n", "kernel-centers-above-rows"])
-    def test_value_rejected_by_generator_exits_64(self, tmp_path, capsys, argv):
+    # the error names the flag's value, not the A or b it would have built
+    @pytest.mark.parametrize("argv,name", [
+        (["solve", "--m", "40", "--n", "50", "--cond", "10", "--resnorm", "1e-3"], "m=40"),
+        (["kernel", "--synthetic-rows", "100", "--centers", "200"], "subset_size"),
+        (["kernel", "--synthetic-rows", "100", "--centers", "5", "--bandwidth", "inf"],
+         "bandwidth"),
+        (["kernel", "--synthetic-rows", "100", "--centers", "5", "--bandwidth", "nan"],
+         "bandwidth"),
+    ], ids=["solve-m-below-n", "kernel-centers-above-rows", "kernel-bandwidth-inf",
+            "kernel-bandwidth-nan"])
+    def test_value_rejected_by_generator_exits_64(self, tmp_path, capsys, argv, name):
         out = tmp_path / "o.csv"
         assert run(argv + ["--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())  # no --out file, and no data file either
 
     # the generator names the value; a NaN or inf used to reach the solver first
@@ -108,8 +104,10 @@ class TestFlags:
         ["sparsebench", "--rows", "100", "--n", "5", "--repeats", "0"],
         ["kernel", "--synthetic-rows", "0", "--centers", "5"],
         ["kernel", "--synthetic-rows", "x", "--centers", "5"],
+        ["kernel", "--synthetic-rows", "200", "--centers", "0", "--d", "10"],
+        ["kernel", "--synthetic-rows", "200", "--centers", "-3"],
     ], ids=["kernel-repeats-0", "kernel-repeats-negative", "sparsebench-repeats-0",
-            "synthetic-rows-0", "synthetic-rows-not-an-int"])
+            "synthetic-rows-0", "synthetic-rows-not-an-int", "centers-0", "centers-negative"])
     def test_count_below_one_exits_64(self, tmp_path, capsys, argv):
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exc:
@@ -186,14 +184,47 @@ class TestSolve:
         prob = gen_randsvd(400, 20, 1e4, 1e-6, 7)
         assert be == backward_error(prob.a, prob.b, x)
 
+    def test_metrics_full_above_4000_rows(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run([
+            "solve", "--m", "4001", "--n", "5", "--cond", "10", "--resnorm", "1e-3",
+            "--metrics", "full", "--out", str(out),
+        ]) == EXIT_OK
+        x = np.array([float(v) for v in out.read_text().splitlines()[1:]])
+        be = float((tmp_path / "x.csv.summary.csv").read_text().splitlines()[2].split(",")[4])
+        prob = gen_randsvd(4001, 5, 10.0, 1e-3, 0)
+        assert be == backward_error(prob.a, prob.b, x)
+
 
 def test_be_nan_at_non_finite_iterate():
     prob = gen_randsvd(60, 4, 10.0, 1e-3, 0)
+    be = _be(argparse.Namespace(metrics="full"), prob)
     # the norm of [1.5e308]*4 overflows; [1e160]*4 has a finite norm and a backward error
     for x in (np.full(4, np.nan), np.full(4, np.inf), np.full(4, 1.5e308), np.zeros(4)):
-        assert math.isnan(_be(prob, x))
+        assert math.isnan(be(x))
     for x in (prob.truth.x, np.full(4, 1e160)):
-        assert _be(prob, x) == backward_error(prob.a, prob.b, x)
+        assert be(x) == backward_error(prob.a, prob.b, x)
+
+
+@pytest.mark.parametrize("argv,qrs", [
+    (["solve", *PROBLEM], 1),
+    (["bad", *PROBLEM], 1),
+    (["compare", *PROBLEM], 1),
+    (["convergence", "--m", "400", "--n", "15", "--cond", "10", "1e4", "--resnorm", "1e-4",
+      "--seed", "0", "1"], 4),
+], ids=["solve", "bad", "compare", "convergence"])
+def test_metrics_full_factors_a_once_per_problem(tmp_path, monkeypatch, argv, qrs):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return thin_qr(a)
+
+    thin_qr = itsketch.metrics._thin_qr
+    monkeypatch.setattr(itsketch.metrics, "_thin_qr", counted)
+    assert run(argv + ["--max-iters", "10", "--metrics", "full",
+                       "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert len(calls) == qrs
 
 
 class TestConvergence:
@@ -391,6 +422,19 @@ class TestKernel:
         bad.write_text("x,y\n1,zap\n")
         code = run(["kernel", "--data", str(bad), "--out", str(tmp_path / "k.csv")])
         assert code == EXIT_IO
+
+    # a non-finite cell is a fault of the file, not a zero-variance column or a bad b
+    @pytest.mark.parametrize("cell", [0, 2], ids=["nan-feature", "inf-target"])
+    def test_non_finite_data_cell_exits_2(self, tmp_path, capsys, cell):
+        rows = [[f"{i}", f"{i % 7}", f"{i % 3}"] for i in range(40)]
+        rows[9][cell] = "nan" if cell == 0 else "inf"
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "k.csv"
+        assert run(["kernel", "--data", str(data), "--centers", "5", "--repeats", "1",
+                    "--out", str(out)]) == EXIT_IO
+        assert f"{data}:11: non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSparsebench:

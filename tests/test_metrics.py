@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from itsketch.metrics import (
-    BE_MAX_M,
     WedinHypothesisError,
-    _wks_sigma_min_fast,
     backward_error,
     forward_error,
     residual_error,
@@ -116,9 +114,17 @@ class TestBackwardError:
         with pytest.raises(ValueError, match="shape 3 x 4"):
             backward_error(np.ones((3, 4)), np.ones(3), np.ones(4))
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            backward_error(np.ones((BE_MAX_M + 1, 2)), np.ones(BE_MAX_M + 1), np.ones(2))
+    # zero rows appended to [A | b] leave the backward error unchanged, at any m
+    @pytest.mark.parametrize("kappa,beta", [(10.0, 1e-3), (1e8, 1e-6), (1e12, 0.0)])
+    def test_zero_rows_leave_it_unchanged(self, kappa, beta):
+        p = gen_randsvd(60, 4, kappa, beta, 0)
+        a_pad = np.vstack([p.a, np.zeros((6000, 4))])
+        b_pad = np.concatenate([p.b, np.zeros(6000)])
+        for scale in (1e-12, 1e-2):
+            x_hat = p.truth.x + scale * np.random.default_rng(1).standard_normal(4)
+            assert backward_error(a_pad, b_pad, x_hat) == pytest.approx(
+                backward_error(p.a, p.b, x_hat), rel=1e-14
+            )
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(1)
@@ -174,13 +180,10 @@ class TestBackwardError:
         a = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         x_hat = np.linalg.lstsq(a, b, rcond=None)[0] + 1e-6 * rng.standard_normal(n)
-        r_hat = b - a @ x_hat
-        nu = np.linalg.norm(r_hat) / np.linalg.norm(x_hat)
-        q = r_hat / np.linalg.norm(r_hat)
-        aug = np.column_stack([a, nu * (np.eye(m) - np.outer(q, q))])
-        direct = min(nu, np.linalg.svd(aug, compute_uv=False)[-1])
-        fast = _wks_sigma_min_fast(a, r_hat, nu)
-        assert fast == pytest.approx(direct, rel=1e-8, abs=100 * U * np.linalg.norm(a))
+        # sigma_min to rel 1e-8, abs 100u ||A||_F; both sides are divided by ||A||_F
+        assert backward_error(a, b, x_hat) == pytest.approx(
+            _be_literal(a, b, x_hat), rel=1e-8, abs=100 * U
+        )
 
     def test_qr_reference_backward_stable(self):
         for kappa, seed in [(1e0, 0), (1e4, 1), (1e10, 2)]:
@@ -226,3 +229,19 @@ class TestWedinBounds:
         slack = 1e3 * U * p.truth.kappa
         assert np.linalg.norm(p.truth.x - x_hat) <= fe_bound + slack
         assert np.linalg.norm(p.a @ (p.truth.x - x_hat)) <= re_bound + slack
+
+
+# 2**532 (about 1.4e160) and its inverse scale exactly, and there the squares
+# of the norms overflow or underflow
+@pytest.mark.parametrize("s", [2.0**532, 2.0**-532], ids=["1.4e160", "7.1e-161"])
+@pytest.mark.parametrize("metric", ["forward", "residual", "backward"])
+def test_invariant_to_a_scale_whose_square_overflows(metric, s):
+    p = gen_randsvd(60, 4, 1e4, 1e-3, 0)
+    x_hat = p.truth.x + 1e-6 * np.random.default_rng(1).standard_normal(4)
+    r_hat = p.b - p.a @ x_hat
+    value = {
+        "forward": lambda c: forward_error(c * p.truth.x, c * x_hat),
+        "residual": lambda c: residual_error(c * p.truth.r, c * r_hat),
+        "backward": lambda c: backward_error(c * p.a, c * p.b, x_hat),
+    }[metric]
+    assert value(s) == pytest.approx(value(1.0), rel=1e-14)

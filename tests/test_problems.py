@@ -207,6 +207,16 @@ class TestKernelProblem:
         with pytest.raises(ValueError):
             kernel_problem(pts, tg, bandwidth=0.0, subset_size=5, seed=0)
 
+    @pytest.mark.parametrize("bandwidth,subset_size,name", [
+        (np.inf, 5, "bandwidth"), (np.nan, 5, "bandwidth"), (-1.0, 5, "bandwidth"),
+        (4.0, 0, "subset_size"), (4.0, -3, "subset_size"),
+    ], ids=["bandwidth-inf", "bandwidth-nan", "bandwidth-negative", "subset-size-0",
+            "subset-size-negative"])
+    def test_value_rejected_where_it_enters(self, bandwidth, subset_size, name):
+        pts, tg = self._data()
+        with pytest.raises(ValueError, match=name):
+            kernel_problem(pts, tg, bandwidth=bandwidth, subset_size=subset_size, seed=0)
+
 
 class TestCsv:
     def test_three_line_example(self, tmp_path):
@@ -232,6 +242,14 @@ class TestCsv:
         f = tmp_path / "n.csv"
         f.write_text("x,y\n1,2\nfoo,4\n")
         with pytest.raises(CsvParseError, match=":3"):
+            load_csv(str(f), "y")
+
+    @pytest.mark.parametrize("text", ["x,y\n1,2\nnan,4\n", "x,y\n1,2\n3,inf\n"],
+                             ids=["nan-feature", "inf-target"])
+    def test_non_finite_cell_has_line_number(self, tmp_path, text):
+        f = tmp_path / "n.csv"
+        f.write_text(text)
+        with pytest.raises(CsvParseError, match=":3: non-finite cell"):
             load_csv(str(f), "y")
 
     def test_ragged_row(self, tmp_path):

@@ -423,6 +423,12 @@ class TestIterativeSketching:
         with pytest.raises(ValueError):
             iterative_sketching(p.a, p.b, SolverConfig(d=50, variant="bogus"))
 
+    @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition])
+    def test_a_without_columns_rejected(self, solve):
+        # rejected on entry, before the sketch's QR reaches LAPACK
+        with pytest.raises(ValueError, match="at least one column"):
+            solve(np.ones((200, 0)), np.ones(200), SolverConfig(d=10, variant="basic"))
+
     @pytest.mark.parametrize("variant", ["damped", "momentum"])
     def test_eps_parameters_need_d_above_n(self, variant):
         # their parameters take eps = sqrt(n/d), which d = n puts at 1
@@ -651,8 +657,7 @@ class TestSketchAndPrecondition:
         cfg = SolverConfig(d=240, variant="basic", max_iters=40)
         res = sketch_and_precondition(p.a, p.b, cfg, p.truth)
         assert np.array_equal(res.solution, res.trace.iterates[-1])
-        fe = np.linalg.norm(p.truth.x - res.solution) / np.linalg.norm(p.truth.x)
-        assert res.trace.fe[-1] == float(fe)
+        assert res.trace.fe[-1] == forward_error(p.truth.x, res.solution)
         r = p.b - p.a @ res.solution
         re = np.linalg.norm(p.truth.r - r) / beta if beta > 0 else np.linalg.norm(r) / np.linalg.norm(p.b)
         assert res.trace.re[-1] == float(re)
