@@ -30,6 +30,14 @@ class DistortionReport:
 # Columns of S drawn from one random stream. S does not depend on how many
 # columns are applied at a time, so this is a constant, not a setting.
 COLUMN_BLOCK = 8192
+# A dense A's product with a column block of S is formed a group of S's row
+# blocks at a time, as many as keep the group's product at most this many
+# entries (1 MiB), or one row block if that alone is larger. Each group
+# re-reads A's column block: on a 1e5 x 100 A at d = 3000 (2-core Xeon,
+# 2 MiB L2) solves with groups of two of the eight row blocks ran 1-2%
+# slower than with this limit's three, and one group of all eight held a
+# 2.3 MiB product beside the 2.3 MiB sketch.
+GROUP_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -55,79 +63,112 @@ class SparseSignEmbedding:
         """First row of each of the zeta row blocks, then d."""
         return (np.arange(self.zeta + 1) * self.d) // self.zeta
 
-    def _column_block(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (int32) and entries (+-scale) of column block j, each of shape
-        (columns, zeta), rows ascending along each column."""
+    def _draw(self, j: int) -> np.ndarray:
+        """Column block j of S as one int32 draw v of shape (columns, zeta):
+        column i's entry in row block k sits at row v[i, k] >> 1 of that
+        block, and is -scale if v[i, k] & 1, else +scale."""
         count = min(COLUMN_BLOCK, self.m - j * COLUMN_BLOCK)
         starts = self._row_starts()
-        # one draw v gives both the row offset v >> 1 and the sign bit v & 1
         high = 2 * (self.d // self.zeta) if self.d % self.zeta == 0 else 2 * np.diff(starts)
-        v = np.random.default_rng([self.rng_seed, j]).integers(
+        return np.random.default_rng([self.rng_seed, j]).integers(
             0, high, size=(count, self.zeta), dtype=np.int32)
-        rows = v >> 1
-        rows += starts[:-1].astype(np.int32)
-        vals = (v & 1).astype(float)
-        vals *= -2 * self.scale  # exact: 0 or -2*scale, then +scale or -scale
-        vals += self.scale
-        return rows, vals
+
+    def _split(self, v: np.ndarray) -> np.ndarray:
+        """The entries of the draws v (-scale where v & 1, else +scale);
+        v itself is left holding their rows in their row blocks (v >> 1)."""
+        entries = np.multiply(v & 1, -2 * self.scale)  # exact: 0 or -2*scale
+        entries += self.scale
+        v >>= 1
+        return entries
 
     def apply(self, a, b: np.ndarray | None = None) -> np.ndarray:
         """S @ a for a dense or sparse m x n a (or a dense length-m vector),
-        returned dense. Given b (length m) as well, [S @ a | S @ b] as one
-        d x (n+1) array, in one pass that draws S once.
+        returned dense and column-major. Given b (length m) as well,
+        [S @ a | S @ b] as one column-major d x (n+1) array, in one pass that
+        draws S once; its transpose is the buffer that
+        linalg._qr_solve_in_place factors with no copy.
 
         A is read through its rows and, if sparse, its CSR arrays; no product
-        with A or A' is formed."""
+        with A or A' is formed. Each entry of the result is the same sum, in
+        the same order, as one product of all of S with A would form."""
         if a.shape[0] != self.m:
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
         if b is not None and b.shape != (self.m,):
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, b has shape {b.shape}")
         sparse = sp.issparse(a)
         a = a.tocsr() if sparse else np.asarray(a, dtype=float)
-        out = np.zeros((self.d, a.shape[1] + 1) if b is not None else (self.d,) + a.shape[1:])
-        sa, sb = (out[:, :-1], out[:, -1]) if b is not None else (out, None)
+        width = a.shape[1:] if b is None else (a.shape[1] + 1,)
+        out = np.zeros((self.d, *width), order="F")
+        add_block = self._scatter_csr if sparse else self._add_dense
         for j in range(-(-self.m // COLUMN_BLOCK)):
-            lo = j * COLUMN_BLOCK
-            rows, vals = self._column_block(j)
-            hi = lo + rows.shape[0]
-            if sparse:
-                self._scatter_csr(out, a, b, lo, hi, rows, vals)
-            else:
-                chunk = sp.csc_matrix(
-                    (vals.ravel(), rows.ravel(),
-                     np.arange(0, rows.size + 1, self.zeta, dtype=np.int32)),
-                    shape=(self.d, hi - lo))
-                sa += chunk @ a[lo:hi]
-                if b is not None:
-                    sb += chunk @ b[lo:hi]
+            add_block(out, a, b, j)  # S's draw for block j is freed on return
         return out
 
-    def _scatter_csr(self, out, a, b, lo, hi, rows, vals) -> None:
-        """Add to out S's columns lo..hi-1 times rows lo..hi-1 of the CSR a
-        (and b, as the last column, if given). Row block k of S touches only
-        rows starts[k]..starts[k+1]-1 of out, so each row block is one
-        bincount over that slice."""
-        width = out.shape[1]
+    def _add_dense(self, out, a, b, j) -> None:
+        """Add to out S's column block j times the same rows of the dense a
+        (and b, as out's last column, if given), one group of S's row blocks
+        at a time. Each group is one CSC product, which forms the rows of out
+        it touches exactly as a product with all of S would, and holds at
+        most GROUP_ENTRIES entries unless one row block alone holds more."""
+        v = self._draw(j)
+        lo = j * COLUMN_BLOCK
+        hi = lo + v.shape[0]
+        block = np.ascontiguousarray(a[lo:hi])  # SciPy's kernel copies any other
+        starts = self._row_starts()
+        n = a.shape[1] if a.ndim == 2 else 1
+        step = max(1, GROUP_ENTRIES // (-(-self.d // self.zeta) * n))
+        for k0 in range(0, self.zeta, step):
+            k1 = min(k0 + step, self.zeta)
+            # column i of the group's CSC holds its k1 - k0 entries, each
+            # row counted from the group's first row
+            rows = np.ascontiguousarray(v[:, k0:k1])  # v itself for one group
+            entries = self._split(rows)
+            rows += (starts[k0:k1] - starts[k0]).astype(np.int32)
+            chunk = sp.csc_matrix(
+                (entries.ravel(), rows.ravel(),
+                 np.arange(0, rows.size + 1, k1 - k0, dtype=np.int32)),
+                shape=(starts[k1] - starts[k0], hi - lo))
+            del rows, entries  # the CSC holds them until it is freed
+            part = out[starts[k0]:starts[k1]]
+            if b is not None:
+                part[:, -1] += chunk @ b[lo:hi]
+                part = part[:, :-1]
+            product = chunk @ block
+            del chunk  # before the add, whose mixed layouts take a buffer
+            part += product
+            del product  # before the next group's
+
+    def _scatter_csr(self, out, a, b, j) -> None:
+        """Add to out S's column block j times the same rows of the CSR a (and
+        b, as out's last column, if given). Row block k of S touches only rows
+        starts[k]..starts[k+1]-1 of out, so each row block is one bincount
+        over that slice of A's entries, in A's row order, and one over b."""
+        v = self._draw(j)
+        lo = j * COLUMN_BLOCK
+        hi = lo + v.shape[0]
+        n = a.shape[1]
         start, stop = a.indptr[lo], a.indptr[hi]
         col = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
-        idx, val = a.indices[start:stop], a.data[start:stop]
-        if b is not None:
-            col = np.concatenate([col, np.arange(hi - lo)])
-            idx = np.concatenate([idx, np.full(hi - lo, width - 1, dtype=idx.dtype)])
-            val = np.concatenate([val, b[lo:hi]])
+        val = a.data[start:stop]
         starts = self._row_starts()
-        # per row block, each column's offset into that block's slice of out
-        offsets = rows.T.astype(np.intp, order="C")
-        offsets -= starts[:-1, None]
-        offsets *= width
-        vals = np.ascontiguousarray(vals.T)
+        # entry (r, c) of a row block's slice of out is bin c * tall + r, with
+        # tall the most rows a row block has: column-major, as out is
+        tall = -(-self.d // self.zeta)
+        col_bins = a.indices[start:stop] * np.intp(tall)
         for k in range(self.zeta):
-            flat = np.take(offsets[k], col)
-            flat += idx
-            weight = np.take(vals[k], col)
+            part = out[starts[k]:starts[k + 1]]
+            rows = v[:, k]
+            entries = self._split(rows)
+            flat = np.take(rows.astype(np.intp), col)
+            flat += col_bins
+            weight = np.take(entries, col)
             weight *= val
-            block = out[starts[k]:starts[k + 1]]
-            block += np.bincount(flat, weight, minlength=block.size).reshape(block.shape)
+            sums = np.bincount(flat, weight, minlength=tall * n).reshape(n, tall)
+            del flat, weight  # before the add, which takes a buffer
+            part[:, :n] += sums[:, : part.shape[0]].T
+            del sums  # before the next row block's
+            if b is not None:
+                part[:, n] += np.bincount(rows, entries * b[lo:hi], minlength=part.shape[0])
 
 
 def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbedding:

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the whole package: thin wrappers
 around LAPACK and BLAS (via numpy/scipy). The triangular solves call dtrtrs
 and check only shapes and a zero diagonal. Every QR is _householder: NumPy's
-dgeqrf (and dorgqr for Q) in place on one column-major copy, with both
-OpenBLAS copies (NumPy's and SciPy's) held at one thread for qr_solve and for
-thin QRs of at most _THIN_QR_ONE_THREAD_MAX entries.
+dgeqrf (and dorgqr for Q) in place on one column-major copy, or on the
+column-major sketch itself, with both OpenBLAS copies (NumPy's and SciPy's)
+held at one thread for qr_solve and for thin QRs of at most
+_THIN_QR_ONE_THREAD_MAX entries.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vector b, and the R factor of a with nonnegative diagonal. Only R of [a | b]
     is computed, by the thin QR's kernel from one column-major copy of a and b,
     on one OpenBLAS thread at any size: its leading n x n block is R, and the
-    last column of those rows is Q'b."""
+    last column of those rows is Q'b. The copy is freed before the solve;
+    _qr_solve_in_place factors a caller's column-major [a | b] with none."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
@@ -167,6 +169,23 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cols[:n], cols[n] = a.T, b
     r_aug = _householder(cols, one_thread=True)
     del cols  # keep the peak at one copy of [a | b]
+    return _solve_joined(r_aug)
+
+
+def _qr_solve_in_place(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qr_solve(a, b) for the m x n a and the b stored as the rows of the
+    C-contiguous (n+1) x m buffer cols, a's columns first: dgeqrf overwrites
+    cols, and no copy is made. The transpose of a column-major [a | b] is
+    such a buffer."""
+    k, m = cols.shape
+    if m < k - 1:
+        raise ValueError(f"need m >= n, got {m} x {k - 1}")
+    return _solve_joined(_householder(cols, one_thread=True))
+
+
+def _solve_joined(r_aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qr_solve's x and R from the R factor of [a | b]."""
+    n = r_aug.shape[1] - 1
     signs = np.sign(np.diag(r_aug)[:n])
     signs[signs == 0] = 1.0
     r = signs[:, None] * r_aug[:n, :n]

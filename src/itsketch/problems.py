@@ -8,6 +8,7 @@ matrices, and numeric CSV handling.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -122,8 +123,14 @@ def kernel_problem(
     m = points.shape[0]
     if not 1 <= subset_size <= m:
         raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
-    if not 0 < bandwidth < np.inf:
-        raise ValueError(f"need a positive finite bandwidth, got {bandwidth}")
+    try:
+        width = 2.0 * float(bandwidth) ** 2  # the kernel's denominator
+    except OverflowError:
+        width = math.inf
+    if not (bandwidth > 0 and 0 < width < math.inf):
+        raise ValueError(
+            f"need a positive bandwidth whose 2*bandwidth**2 is a finite nonzero double, "
+            f"got {bandwidth}")
     mean = points.mean(axis=0)
     std = points.std(axis=0)
     keep = std > 0
@@ -136,7 +143,7 @@ def kernel_problem(
     rng = np.random.default_rng(seed)
     centers = rng.choice(m, size=subset_size, replace=False)
     d2 = cdist(z, z[centers], metric="sqeuclidean")
-    a = np.exp(-d2 / (2.0 * bandwidth**2))
+    a = np.exp(-d2 / width)
     return LsProblem(a=a, b=targets, truth=None)
 
 

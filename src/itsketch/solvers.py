@@ -19,7 +19,7 @@ from .linalg import (
     SingularMatrixError,
     _as_rhs,
     _norm2,
-    qr_solve,
+    _qr_solve_in_place,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -228,16 +228,15 @@ def _stagnated(changes: list[float], floor: float) -> bool:
     )
 
 
-def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """SA and Sb, views of one d x (n+1) array drawn in a single pass over A
-    and b, or a ValueError naming A or b if it holds a NaN or inf: each reaches
-    the d-row sketch, so no m-row temporary is scanned."""
+def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> np.ndarray:
+    """[SA | Sb], one column-major d x (n+1) array drawn in a single pass over
+    A and b, or a ValueError naming A or b if it holds a NaN or inf: each
+    reaches the d-row sketch, so no m-row temporary is scanned."""
     sab = s.apply(a, b)
-    sa, sb = sab[:, :-1], sab[:, -1]
-    for name, sketched in (("A", sa), ("b", sb)):
+    for name, sketched in (("A", sab[:, :-1]), ("b", sab[:, -1])):
         if not np.isfinite(sketched).all():
             raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
-    return sa, sb
+    return sab
 
 
 def sketch_and_solve(
@@ -245,11 +244,11 @@ def sketch_and_solve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the sketched problem min ||Sb - (SA)y|| by Householder QR.
 
-    Returns the solution and the R factor of SA for reuse by the iteration.
-    A wrong-length b or a non-finite A or b raises ValueError; a singular R,
-    SingularMatrixError.
+    Returns the solution and the R factor of SA for reuse by the iteration;
+    the QR overwrites the sketch where it was built. A wrong-length b or a
+    non-finite A or b raises ValueError; a singular R, SingularMatrixError.
     """
-    return qr_solve(*_sketch(a, _as_rhs(a, b), s))
+    return _qr_solve_in_place(_sketch(a, _as_rhs(a, b), s).T)
 
 
 def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
@@ -328,6 +327,12 @@ def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float]:
     return momentum_params(eps)
 
 
+def _residual(a, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - a @ x, formed in the array of the product a @ x."""
+    r = a @ x
+    return np.subtract(b, r, out=r)
+
+
 def _run_refinement(
     a,
     b: np.ndarray,
@@ -348,13 +353,13 @@ def _run_refinement(
     norm_b = _norm2(b)
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
-    r = b - a @ x
+    r = _residual(a, b, x)
     _check_range(normest, _norm(r))
     _record(trace, b, x, r, truth)
     for _ in range(cfg.max_iters):
         x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
-        r_next = b - a @ x_next
-        change = _norm(r_next - r)
+        r_next = _residual(a, b, x_next)
+        change = _norm(np.subtract(r_next, r, out=r))  # r is not needed again
         resnorm = _norm(r_next)
         norm_x = _norm(x_next)
         threshold = _stop_threshold(norm_x, resnorm, normest, condest)
@@ -418,7 +423,10 @@ def bad_variant(
         return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        sa, sb = _sketch(a, b, _new_sketch(a, cfg))
+        sab = _sketch(a, b, _new_sketch(a, cfg))
+        # row-major: from a column-major SA, SA'Sb takes another BLAS path,
+        # with other bits
+        sa = np.ascontiguousarray(sab[:, :-1])
         gram = sa.T @ sa
         try:
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
@@ -427,7 +435,8 @@ def bad_variant(
             # the divergence guard reports it instead of lu_solve raising
             gram_solve = partial(
                 scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram), check_finite=False)
-        x0 = gram_solve(sa.T @ sb)
+        x0 = gram_solve(sa.T @ sab[:, -1])
+        del sa, sab
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
         gram_sv = svd_values(gram)
         normest = math.sqrt(gram_sv[0])
@@ -475,13 +484,13 @@ def lsqr(
         return tri_solve_upper_transpose(precond_r, a.T @ u)
 
     # Paige-Saunders recurrences, no reorthogonalization
-    u = b - a @ x0
+    u = _residual(a, b, x0)
     beta = _norm(u)
     _check_range(1.0, beta)  # Op' only meets unit vectors
     z = np.zeros(n)
     if beta == 0.0:
         return x0.copy(), 0
-    u = u / beta
+    u /= beta
     v = op_t(u)
     alpha = _norm(v)
     if alpha == 0.0:
@@ -492,10 +501,11 @@ def lsqr(
     anorm2 = alpha**2
     iters = 0
     for _ in range(max_iters):
-        u = op(v) - alpha * u
+        u *= -alpha  # with the next line, op(v) - alpha * u, bit for bit
+        u += op(v)
         beta = _norm(u)
         if beta > 0:
-            u = u / beta
+            u /= beta
             v = op_t(u) - beta * v
             alpha = _norm(v)
             if alpha > 0:

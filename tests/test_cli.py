@@ -75,8 +75,14 @@ class TestFlags:
          "bandwidth"),
         (["kernel", "--synthetic-rows", "100", "--centers", "5", "--bandwidth", "nan"],
          "bandwidth"),
+        # 2*bandwidth**2 overflows (an OverflowError once, exit 1) or underflows
+        # to 0 (a divide-by-zero, reported as a non-finite A)
+        (["kernel", "--synthetic-rows", "100", "--centers", "5", "--bandwidth", "1e300"],
+         "bandwidth"),
+        (["kernel", "--synthetic-rows", "100", "--centers", "5", "--bandwidth", "1e-300"],
+         "bandwidth"),
     ], ids=["solve-m-below-n", "kernel-centers-above-rows", "kernel-bandwidth-inf",
-            "kernel-bandwidth-nan"])
+            "kernel-bandwidth-nan", "kernel-bandwidth-overflows", "kernel-bandwidth-underflows"])
     def test_value_rejected_by_generator_exits_64(self, tmp_path, capsys, argv, name):
         out = tmp_path / "o.csv"
         assert run(argv + ["--out", str(out)]) == EXIT_USAGE

@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import lambertw
 
-from itsketch import SolverConfig, gen_sparse, iterative_sketching
+from itsketch import SolverConfig, embed, gen_sparse, iterative_sketching, sketch_and_precondition
 from itsketch.embed import (
     COLUMN_BLOCK,
     choose_dim,
@@ -19,7 +18,8 @@ from itsketch.embed import (
 )
 from itsketch.linalg import svd_values
 from itsketch.problems import _distinct_rows
-from reference import householder_qr_econ, osnap_sparse_sign
+from peak import peak_bytes
+from reference import householder_qr_econ, osnap_sparse_sign, sparse_sign_apply
 
 MIB = 2**20
 
@@ -47,17 +47,6 @@ def _distinct_rows_resort_all(d, m, zeta, rng):
         if not bad.any():
             return idx
         idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
-
-
-def _solve_peak(a, b, cfg):
-    """Bytes a solve allocates at its peak, above what was held before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        iterative_sketching(a, b, cfg)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class _DenseGaussian:
@@ -164,18 +153,27 @@ class TestSparseSignNew:
 
 
 class TestStreamedPeakMemory:
-    # a whole solve never holds S, which at d=3000, m=2e5 and zeta=8 takes
-    # 19.1 MiB as a CSC matrix
+    # A whole solve never holds S, which at d=3000, m=2e5 and zeta=8 takes
+    # 19.1 MiB as a CSC matrix. It holds [SA | Sb] (3000 x 101, 2.31 MiB),
+    # which is factored where it was built, the partial product of one group
+    # of S's row blocks (three of the eight for a dense A, one for a sparse
+    # A), and two m-vectors while it iterates.
+    cfg = SolverConfig(d=3000, variant="basic", max_iters=100)
+
+    @staticmethod
+    def _dense():
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((100_000, 100)), rng.standard_normal(100_000)
+
     def test_sparse_solve(self):
         p = gen_sparse(200_000, 100, 0)
-        cfg = SolverConfig(d=3000, variant="basic", max_iters=100)
-        assert _solve_peak(p.a, p.b, cfg) < 15 * MIB
+        assert peak_bytes(iterative_sketching, p.a, p.b, self.cfg)[1] < 4.5 * MIB
 
     def test_dense_solve(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((100_000, 100))
-        b = rng.standard_normal(100_000)
-        assert _solve_peak(a, b, SolverConfig(d=3000, variant="basic", max_iters=100)) < 10 * MIB
+        assert peak_bytes(iterative_sketching, *self._dense(), self.cfg)[1] < 4.5 * MIB
+
+    def test_dense_sketch_and_precondition(self):
+        assert peak_bytes(sketch_and_precondition, *self._dense(), self.cfg)[1] < 4.5 * MIB
 
 
 class TestApply:
@@ -233,6 +231,27 @@ class TestApply:
         s = sparse_sign_new(1003, p.a.shape[0], 8, 3)
         assert np.array_equal(s.apply(p.a, p.b), s.apply(p.a.toarray(), p.b))
         assert np.array_equal(s.apply(p.a), s.apply(p.a.toarray()))
+
+    # GROUP_ENTRIES 1 and 250 make a dense A's groups one and three row
+    # blocks of S (13 rows x 6 columns each at zeta = 8), 2**17 one group
+    @pytest.mark.parametrize("group_entries", [1, 250, 2**17])
+    @pytest.mark.parametrize("m", [COLUMN_BLOCK - 1, 2 * COLUMN_BLOCK + 5])
+    @pytest.mark.parametrize("zeta", [1, 3, 8])
+    def test_bits_equal_row_major_reference(self, zeta, m, group_entries, monkeypatch):
+        # a few of S's row blocks at a time, into a column-major array: every
+        # entry is the sum the reference forms, in the same order; d % zeta != 0
+        # for zeta > 1, and signed zeros must survive as they do there
+        monkeypatch.setattr(embed, "GROUP_ENTRIES", group_entries)
+        rng = np.random.default_rng(zeta + m)
+        a = rng.standard_normal((m, 6))
+        a[::7, 2] = -0.0
+        b = rng.standard_normal(m)
+        csr = sp.random(m, 6, density=0.3, random_state=rng, format="csr")
+        s = sparse_sign_new(101, m, zeta, 13)
+        for args in ((a,), (a, b), (np.asfortranarray(a), b), (csr,), (csr, b), (b,)):
+            got, want = s.apply(*args), sparse_sign_apply(s, *args, column_block=COLUMN_BLOCK)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous
 
     def test_dimension_mismatch(self):
         s = sparse_sign_new(10, 20, 3, 0)

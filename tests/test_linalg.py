@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from itsketch.linalg import (
     tri_solve_upper_transpose,
 )
 from itsketch.solvers import _norm
+from peak import peak_bytes
 from reference import QrFactors, householder_qr_econ
 
 U = 2.0**-53
@@ -127,14 +127,8 @@ class TestQrSolve:
         # the sketch-and-solve step holds [SA | Sb] as one array; its QR
         # makes LAPACK's working copy and no other
         ab = np.random.default_rng(11).standard_normal((3000, 101))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            x, r = qr_solve(ab[:, :-1], ab[:, -1])
-            top = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert top - base <= 1.1 * ab.nbytes
+        (x, r), peak = peak_bytes(qr_solve, ab[:, :-1], ab[:, -1])
+        assert peak <= 1.1 * ab.nbytes
         x_ref, r_ref = qr_solve(ab[:, :-1], ab[:, -1])
         assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 

@@ -209,9 +209,10 @@ class TestKernelProblem:
 
     @pytest.mark.parametrize("bandwidth,subset_size,name", [
         (np.inf, 5, "bandwidth"), (np.nan, 5, "bandwidth"), (-1.0, 5, "bandwidth"),
+        (1e300, 5, "bandwidth"), (1e-300, 5, "bandwidth"),
         (4.0, 0, "subset_size"), (4.0, -3, "subset_size"),
-    ], ids=["bandwidth-inf", "bandwidth-nan", "bandwidth-negative", "subset-size-0",
-            "subset-size-negative"])
+    ], ids=["bandwidth-inf", "bandwidth-nan", "bandwidth-negative", "bandwidth-overflows",
+            "bandwidth-underflows", "subset-size-0", "subset-size-negative"])
     def test_value_rejected_where_it_enters(self, bandwidth, subset_size, name):
         pts, tg = self._data()
         with pytest.raises(ValueError, match=name):

@@ -2,7 +2,6 @@
 stopping rule, LSQR, and the deliberately-unstable baselines."""
 
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -13,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from blas_threads import probe_outputs
+from peak import peak_bytes
 from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
     SingularMatrixError,
@@ -292,6 +292,23 @@ class TestSketchAndSolve:
         norm_a = np.linalg.norm(p.a, 2)
         fe_bound = 2 * math.sqrt(eps) / (1 - eps) * p.truth.kappa / norm_a * beta
         assert np.linalg.norm(p.truth.x - x0) <= fe_bound * (1 + 1e-10)
+
+    def test_bits_equal_across_blas_threads(self):
+        # S's products with A are SciPy's sparse kernels, two of S's row
+        # blocks at a time over three column blocks, and the QR runs on one
+        # OpenBLAS thread: no BLAS thread count reaches x0 or R
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from itsketch.embed import COLUMN_BLOCK, sparse_sign_new\n"
+            "from itsketch.solvers import sketch_and_solve\n"
+            "m = 2 * COLUMN_BLOCK + 100\n"
+            "rng = np.random.default_rng(0)\n"
+            "a, b = rng.standard_normal((m, 130)), rng.standard_normal(m)\n"
+            "x, r = sketch_and_solve(a, b, sparse_sign_new(3000, m, 8, 1))\n"
+            "print(hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n"
+        )
+        outs = probe_outputs(probe)
+        assert outs[0] == outs[1]
 
 
 class TestIterativeSketching:
@@ -759,15 +776,9 @@ class TestTraceMemory:
         monkeypatch.setattr(itsketch.solvers, "STAG_FLOOR", 0.0)
 
         def peak(max_iters):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                res = iterative_sketching(p.a, p.b, replace(cfg, max_iters=max_iters))
-                top = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            res, top = peak_bytes(iterative_sketching, p.a, p.b, replace(cfg, max_iters=max_iters))
             assert res.iterations == max_iters
-            return top - base
+            return top
 
         assert peak(100) - peak(10) < 2**20
 
@@ -891,6 +902,28 @@ class TestInputChecks:
         b[299] = value
         with pytest.raises(ValueError, match=r"^b must be finite"):
             solve(a, b, self.CFG)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+def test_caller_arrays_never_written(dense):
+    # the solvers update their residuals and LSQR's u in place, in arrays of
+    # their own; A (a CSR A's data) and b keep every bit
+    p = gen_randsvd(600, 8, 1e4, 1e-3, 2) if dense else gen_sparse(3000, 8, 2)
+    a, b = p.a, p.b
+    held = a if dense else a.data
+    a_bytes, b_bytes = held.tobytes(), b.tobytes()
+    cfg = SolverConfig(d=120, variant="momentum", max_iters=10, rng_seed=2)
+    s = sparse_sign_new(120, a.shape[0], 8, 2)
+    calls = [
+        partial(iterative_sketching, a, b, cfg, p.truth),
+        partial(sketch_and_precondition, a, b, cfg, p.truth),
+        *(partial(bad_variant, a, b, cfg, kind) for kind in ("bad_matrix", "bad_residual", "bad_init")),
+        partial(sketch_and_solve, a, b, s),
+        partial(s.apply, a, b),
+    ]
+    for call in calls:
+        call()
+        assert held.tobytes() == a_bytes and b.tobytes() == b_bytes
 
 
 def test_sketch_and_solve_names_b():
