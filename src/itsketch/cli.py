@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .embed import choose_dim, default_distortion
+from .embed import choose_dim
 from .linalg import _one_blas_thread, qr_solve
 from .metrics import _backward_error_of
 from .problems import (
@@ -138,7 +138,7 @@ def _trace_rows(be, method: str, kappa: float, beta: float, res, bounds=None) ->
         re = t.re[i] if t.re else float("nan")
         chg = t.residual_changes[i - 1] if i >= 1 else float("nan")
         bf, br = (float("nan"), float("nan"))
-        if bounds is not None and i < len(bounds[0]):
+        if bounds is not None:
             bf, br = float(bounds[0][i]), float(bounds[1][i])
         rows.append([method, kappa, beta, i, fe, re, be(x), chg, bf, br])
     return rows
@@ -152,20 +152,17 @@ def cmd_convergence(args) -> int:
         prob = gen_randsvd(args.m, args.n, kappa, beta, seed)
         cfg = _solver_cfg(args, args.m, args.n, seed=seed)
         res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
-        # the momentum bound is stated from iteration 2 on; earlier rows get nan
-        first = 2 if args.variant == "momentum" else 0
         try:
             fe_bound, re_bound = theoretical_bound_curve(
-                args.variant, default_distortion(args.n, cfg.d), prob.truth.kappa, 1.0,
-                prob.truth.beta, len(res.trace.iterates), first_iter=first,
+                args.variant, res.trace.epsilon, prob.truth.kappa, 1.0,
+                prob.truth.beta, res.iterations,
             )
         except RateHypothesisError:  # eps outside the variant's hypothesis: no bound
             bounds = None
         else:
             # bounds are absolute; traces are relative
-            pad = np.full(first, np.nan)
-            bounds = (np.concatenate([pad, fe_bound / np.linalg.norm(prob.truth.x)]),
-                      np.concatenate([pad, re_bound / max(prob.truth.beta, np.finfo(float).tiny)]))
+            bounds = (fe_bound / np.linalg.norm(prob.truth.x),
+                      re_bound / max(prob.truth.beta, np.finfo(float).tiny))
         be = _be(args, prob)
         out = _trace_rows(be, f"is_{args.variant}", kappa, beta, res, bounds)
         xqr = qr_solve(prob.a, prob.b)[0]

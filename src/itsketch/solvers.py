@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .embed import SparseSignEmbedding, default_distortion, sparse_sign_new
+from .embed import SparseSignEmbedding, sparse_sign_new
 from .linalg import (
     SingularMatrixError,
     _as_rhs,
@@ -63,10 +63,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant != "basic" and self.d == n:
-            raise ValueError(
-                f"variant {self.variant!r} needs d > n={n}: its parameters take eps = sqrt(n/d) < 1"
-            )
         if self.init not in ("sketch_and_solve", "zero"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -82,7 +78,8 @@ class SolveTrace:
     sketch-and-precondition, which forms b - Ax only to take FE and RE
     against a given truth. ``stop_thresholds[i]`` is the stopping-rule
     right-hand side it was compared to; sketch-and-precondition takes
-    ||r_{i+1}|| in it from LSQR's phibar_{i+1}.
+    ||r_{i+1}|| in it from LSQR's phibar_{i+1}. ``epsilon`` is the sqrt(n/d)
+    of _update_coeffs, for every variant; sketch-and-precondition leaves nan.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -95,6 +92,7 @@ class SolveTrace:
     stop_reason: str = "max_iters"
     normest: float = 0.0  # sigma_max of the sketch's R factor
     condest: float = 0.0  # sigma_max / sigma_min of the sketch's R factor
+    epsilon: float = math.nan  # the distortion the step's (alpha, beta) took
 
 
 @dataclass
@@ -167,15 +165,14 @@ def theoretical_bound_curve(
     norm_a: float,
     norm_r: float,
     iters: int,
-    first_iter: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact-arithmetic error-bound sequences (fe_bound_i, re_bound_i) for
-    i = first_iter .. iters, for overlaying on measured traces.
+    i = 0 .. iters, for overlaying on measured traces.
 
-    The momentum bound is only stated for i >= 2; requesting earlier
-    iterations raises.
+    The momentum bound is stated only for i >= 2; its entries for i < 2 are
+    nan.
     """
-    idx = np.arange(first_iter, iters + 1, dtype=float)
+    idx = np.arange(iters + 1, dtype=float)
     if variant == "basic":
         if not 0 <= epsilon < _EPS_BASIC_MAX:
             raise RateHypothesisError(
@@ -185,9 +182,8 @@ def theoretical_bound_curve(
     elif variant == "damped":
         re = prefactor_c(epsilon) * rate_g_damp(epsilon) ** idx * norm_r
     elif variant == "momentum":
-        if first_iter < 2:
-            raise RateHypothesisError("momentum bound is stated for i >= 2")
         re = prefactor_c_prime(epsilon) * (idx - 1) * rate_g_mom(epsilon) ** idx * norm_r
+        re[:2] = np.nan
     else:
         raise ValueError(f"unknown variant {variant!r}")
     fe = re * (kappa / norm_a)
@@ -255,6 +251,8 @@ def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
     """Validate cfg against A's shape and build its S."""
     m, n = a.shape
     cfg.validate(n)
+    if m < n:
+        raise ValueError(f"need m >= n, got {m} x {n}")
     return sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
 
 
@@ -318,13 +316,19 @@ def _record(
         trace.re.append(re)
 
 
-def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float]:
+def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float, float]:
+    """(alpha, beta, eps) of the refinement step, with eps = sqrt(n/d) the
+    distortion of the sparse sign embedding that damped and momentum set
+    their parameters from; those two need eps < 1, so d > n."""
+    eps = math.sqrt(n / cfg.d)
     if cfg.variant == "basic":
-        return 1.0, 0.0
-    eps = default_distortion(n, cfg.d)
-    if cfg.variant == "damped":
-        return damping_params(eps)
-    return momentum_params(eps)
+        return 1.0, 0.0, eps
+    if eps >= 1:
+        raise ValueError(
+            f"variant {cfg.variant!r} needs d > n={n}: its parameters take eps = sqrt(n/d) < 1"
+        )
+    params = damping_params if cfg.variant == "damped" else momentum_params
+    return (*params(eps), eps)
 
 
 def _residual(a, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -347,8 +351,8 @@ def _run_refinement(
     with d_i = correction(x_i, r_i), plus tracing, the stopping rule, the
     stagnation test, and the divergence guard. The stable solver and its
     unstable baselines differ only in correction."""
-    alpha, beta = _update_coeffs(cfg, x0.shape[0])
-    trace = SolveTrace(normest=normest, condest=condest)
+    alpha, beta, eps = _update_coeffs(cfg, x0.shape[0])
+    trace = SolveTrace(normest=normest, condest=condest, epsilon=eps)
     guard = _DivergenceGuard()
     norm_b = _norm2(b)
     x = x0

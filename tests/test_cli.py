@@ -13,7 +13,7 @@ from itsketch.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, SCHEMA_LINE, _be, _map_tr
 from itsketch.embed import choose_dim
 from itsketch.metrics import backward_error
 from itsketch.problems import gen_randsvd
-from itsketch.solvers import SolverConfig
+from itsketch.solvers import SolverConfig, iterative_sketching, theoretical_bound_curve
 
 CONV_HEADER = "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re"
 PROBLEM = ["--m", "400", "--n", "15", "--cond", "1e4", "--resnorm", "1e-4"]
@@ -268,6 +268,23 @@ class TestConvergence:
             stated = int(r[3]) >= 2
             assert math.isfinite(float(r[8])) == stated
             assert math.isfinite(float(r[9])) == stated
+
+    def test_bound_reads_trace_epsilon(self, tmp_path):
+        # the bound is taken at the eps the solve recorded, on the same trial
+        out = tmp_path / "conv.csv"
+        assert run([
+            "convergence", "--m", "500", "--n", "20", "--cond", "1e4",
+            "--resnorm", "1e-4", "--seed", "0", "--max-iters", "20", "--out", str(out),
+        ]) == EXIT_OK
+        prob = gen_randsvd(500, 20, 1e4, 1e-4, 0)
+        cfg = SolverConfig(d=choose_dim(500, 20, 2.0**-53, "momentum"), max_iters=20)
+        res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
+        want = theoretical_bound_curve(
+            "momentum", res.trace.epsilon, prob.truth.kappa, 1.0, prob.truth.beta,
+            res.iterations)[1] / prob.truth.beta
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        got = {int(r[3]): float(r[9]) for r in rows if r[0] == "is_momentum"}
+        np.testing.assert_array_equal([got[i] for i in sorted(got)], want)
 
     def test_rows_sorted(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -12,7 +12,6 @@ from itsketch import SolverConfig, embed, gen_sparse, iterative_sketching, sketc
 from itsketch.embed import (
     COLUMN_BLOCK,
     choose_dim,
-    default_distortion,
     measure_distortion,
     sparse_sign_new,
 )
@@ -232,6 +231,16 @@ class TestApply:
         assert np.array_equal(s.apply(p.a, p.b), s.apply(p.a.toarray(), p.b))
         assert np.array_equal(s.apply(p.a), s.apply(p.a.toarray()))
 
+    def test_csc_and_coo_solve_as_csr(self):
+        # any sparse format other than CSR is converted to CSR before the sketch
+        p = gen_sparse(20000, 20, 0)
+        cfg = SolverConfig(d=200)
+        want = iterative_sketching(p.a.tocsr(), p.b, cfg)
+        for a in (p.a.tocsc(), p.a.tocoo()):
+            got = iterative_sketching(a, p.b, cfg)
+            assert np.array_equal(got.solution, want.solution)
+            assert got.trace.residual_changes == want.trace.residual_changes
+
     # GROUP_ENTRIES 1 and 250 make a dense A's groups one and three row
     # blocks of S (13 rows x 6 columns each at zeta = 8), 2**17 one group
     @pytest.mark.parametrize("group_entries", [1, 250, 2**17])
@@ -295,6 +304,13 @@ class TestMeasureDistortion:
         rep = measure_distortion(s, q)
         assert rep.epsilon == max(rep.sigma_max - 1.0, 1.0 - rep.sigma_min)
         assert rep.epsilon >= 0.0
+
+    def test_basis_wider_than_sketch(self):
+        # 7 rows of S leave a vector of an 8-dimensional span mapped to 0
+        q = householder_qr_econ(np.random.default_rng(1).standard_normal((2000, 8))).q
+        rep = measure_distortion(sparse_sign_new(7, 2000, 7, 133), q)
+        assert rep.sigma_min == 0.0
+        assert rep.epsilon >= 1.0
 
     def test_monte_carlo_distortion_below_029(self):
         # d = 20k with k = 25 keeps distortion under the divergence threshold
@@ -378,7 +394,3 @@ class TestChooseDim:
             choose_dim(100, 10, 2.0, "basic")
         with pytest.raises(ValueError):
             choose_dim(100, 10, 1e-16, "other")
-
-
-def test_default_distortion():
-    assert default_distortion(50, 1000) == pytest.approx(math.sqrt(0.05))

@@ -5,7 +5,7 @@ import dataclasses
 import pathlib
 
 import itsketch
-from itsketch import SolveResult, SolverConfig, SparseSignEmbedding
+from itsketch import SolveResult, SolverConfig, SolveTrace, SparseSignEmbedding
 
 
 def test_all_names_resolve():
@@ -69,6 +69,15 @@ def test_solve_result_fields():
     # bench/test_smoke.py builds SolveResult(x, SolveTrace(), cfg) positionally
     assert [f.name for f in dataclasses.fields(SolveResult)] == [
         "solution", "trace", "config",
+    ]
+
+
+def test_solve_trace_fields():
+    # a field a solve records is added here on purpose; bench/test_smoke.py
+    # builds SolveTrace() with no arguments
+    assert [f.name for f in dataclasses.fields(SolveTrace)] == [
+        "iterates", "residual_changes", "stop_thresholds", "fe", "re",
+        "stop_reason", "normest", "condest", "epsilon",
     ]
 
 

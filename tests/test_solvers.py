@@ -136,16 +136,14 @@ class TestBoundCurve:
         _, re = theoretical_bound_curve("damped", 0.3, 1.0, 1.0, 2.0, iters=2)
         assert re[2] == pytest.approx(prefactor_c(0.3) * rate_g_damp(0.3) ** 2 * 2.0)
 
-    def test_momentum_before_two_raises(self):
-        with pytest.raises(RateHypothesisError):
-            theoretical_bound_curve("momentum", 0.2, 1.0, 1.0, 1.0, iters=4, first_iter=1)
+    def test_momentum_nan_before_two(self):
+        fe, re = theoretical_bound_curve("momentum", 0.2, 1.0, 1.0, 1.0, iters=4)
+        assert np.isnan(fe[:2]).all() and np.isnan(re[:2]).all()
 
     def test_momentum_from_two(self):
-        _, re = theoretical_bound_curve(
-            "momentum", 0.2, 1.0, 1.0, 1.0, iters=4, first_iter=2
-        )
-        assert re[0] == pytest.approx(prefactor_c_prime(0.2) * 1 * 0.2**2)
-        assert re[-1] == pytest.approx(prefactor_c_prime(0.2) * 3 * 0.2**4)
+        _, re = theoretical_bound_curve("momentum", 0.2, 1.0, 1.0, 1.0, iters=4)
+        assert re[2] == pytest.approx(prefactor_c_prime(0.2) * 1 * 0.2**2)
+        assert re[4] == pytest.approx(prefactor_c_prime(0.2) * 3 * 0.2**4)
 
     def test_basic_hypothesis(self):
         with pytest.raises(RateHypothesisError):
@@ -452,6 +450,13 @@ class TestIterativeSketching:
         p = gen_randsvd(100, 10, 10.0, 0.1, 0)
         with pytest.raises(ValueError, match=r"needs d > n=10"):
             iterative_sketching(p.a, p.b, SolverConfig(d=10, variant=variant))
+
+    def test_sketch_and_precondition_takes_d_equal_to_n(self):
+        # SP reads no variant and takes no step from eps, so the default
+        # config serves
+        p = gen_randsvd(400, 10, 10.0, 0.1, 0)
+        res = sketch_and_precondition(p.a, p.b, SolverConfig(d=10))
+        assert np.isfinite(res.solution).all()
 
 
 class TestLsqr:
@@ -873,6 +878,11 @@ class TestInputChecks:
 
     CFG = SolverConfig(d=60, variant="basic", max_iters=5)
 
+    def test_a_wider_than_tall(self, solve, dense):
+        a = np.random.default_rng(0).standard_normal((5, 10))
+        with pytest.raises(ValueError, match="need m >= n, got 5 x 10"):
+            solve(a if dense else sp.csr_matrix(a), np.ones(5), SolverConfig(d=20))
+
     @staticmethod
     def _problem(dense):
         p = gen_randsvd(300, 6, 10.0, 1e-3, 0) if dense else gen_sparse(300, 6, 0)
@@ -902,6 +912,20 @@ class TestInputChecks:
         b[299] = value
         with pytest.raises(ValueError, match=r"^b must be finite"):
             solve(a, b, self.CFG)
+
+
+@pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
+@pytest.mark.parametrize("kind", ENTRY_SOLVES)
+def test_trace_records_epsilon(kind, variant):
+    # the eps the step's (alpha, beta) took, for every variant; SP takes no
+    # step from one
+    p = gen_randsvd(400, 10, 10.0, 0.1, 0)
+    cfg = SolverConfig(d=40, variant=variant, max_iters=3)
+    eps = ENTRY_SOLVES[kind](p.a, p.b, cfg).trace.epsilon
+    if kind == "sp":
+        assert math.isnan(eps)
+    else:
+        assert eps == math.sqrt(10 / 40)
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
