@@ -115,6 +115,9 @@ def _lapack(fn, *args) -> None:
 
 
 def _as_rhs(a, b) -> np.ndarray:
+    for name, v in (("A", a), ("b", b)):
+        if np.iscomplexobj(v):
+            raise ValueError(f"{name} must be real, not complex")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")
@@ -159,7 +162,7 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on one OpenBLAS thread at any size: its leading n x n block is R, and the
     last column of those rows is Q'b. The copy is freed before the solve;
     _qr_solve_in_place factors a caller's column-major [a | b] with none."""
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)  # cast to float as it is copied into cols
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     (m, n), b = a.shape, _as_rhs(a, b)

@@ -37,6 +37,9 @@ STOP_RHO = 0.04
 STAG_WINDOW = 4
 STAG_FLOOR = 1.0
 STAG_SHRINK = 0.5
+# window and growth factor of the divergence test (_diverged)
+GUARD_WINDOW = 5
+GUARD_FACTOR = 1.0e4
 
 
 class RateHypothesisError(ValueError):
@@ -53,6 +56,9 @@ class SolverConfig:
     rng_seed: int = 0
 
     def validate(self, n: int) -> None:
+        for name in ("d", "zeta", "max_iters", "rng_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if n < 1:
             raise ValueError(f"A must have at least one column, got n={n}")
         if self.d < n:
@@ -73,18 +79,20 @@ class SolveTrace:
 
     No m-length vector is kept; the residual of iterate i is
     ``b - a @ iterates[i]``, bit for bit what the solver computed where it
-    formed one. ``residual_changes[i]`` is ||r_{i+1} - r_i||: measured on the
-    formed residuals for iterative sketching, and LSQR's |phi_{i+1}| for
-    sketch-and-precondition, which forms b - Ax only to take FE and RE
-    against a given truth. ``stop_thresholds[i]`` is the stopping-rule
-    right-hand side it was compared to; sketch-and-precondition takes
-    ||r_{i+1}|| in it from LSQR's phibar_{i+1}. ``epsilon`` is the sqrt(n/d)
-    of _update_coeffs, for every variant; sketch-and-precondition leaves nan.
+    formed one. ``residual_changes[i]`` is ||r_{i+1} - r_i||, ``residual_norms[i]``
+    is ||r_{i+1}|| and ``stop_thresholds[i]`` the stopping-rule right-hand side
+    taken from it. Iterative sketching takes both norms by nrm2 from the formed
+    residuals, and its stop tests read only these lists and the iterates;
+    sketch-and-precondition records LSQR's |phi_{i+1}| and phibar_{i+1}, and
+    forms b - Ax only for FE and RE against a given truth. ``epsilon`` is the
+    sqrt(n/d) of _update_coeffs, for every variant; sketch-and-precondition
+    leaves nan.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
     residual_changes: list[float] = field(default_factory=list)
     stop_thresholds: list[float] = field(default_factory=list)
+    residual_norms: list[float] = field(default_factory=list)
     fe: list[float] = field(default_factory=list)
     re: list[float] = field(default_factory=list)
     # stopped_by_rule | stagnated (the change sat at the rounding floor of
@@ -198,14 +206,16 @@ def _stop_threshold(norm_x: float, norm_r: float, normest: float, condest: float
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v|| of a 1-D array: np.linalg.norm's own dot path, without its wrapper."""
+    """||v|| of a 1-D array by np.linalg.norm's dot path, whose bits, unlike
+    _norm2's, follow the BLAS thread count. Only LSQR's u and v take it: SP's
+    iterates keep its bits, which nrm2 would move beyond rounding."""
     return math.sqrt(v.dot(v))
 
 
 def _check_range(norm_op: float, norm_r: float) -> None:
-    """ValueError unless a step from a residual of norm norm_r stays in range:
-    it squares ||r|| and forms Op'r, each partial sum at most ||Op|| ||r||; both
-    stay 16x under the largest double. A NaN passes, for the divergence guard."""
+    """ValueError unless max(||Op||, ||r||) ||r|| is 16x under the largest double:
+    a step forms Op'r, each partial sum at most ||Op|| ||r||, and LSQR squares
+    ||r|| (_norm; the refinement loop's nrm2 does not). A NaN passes, for _diverged."""
     if max(norm_op, norm_r) * norm_r > 2.0**1020:
         raise ValueError("A and b are too large to iterate on without overflow; scale them down")
 
@@ -222,6 +232,19 @@ def _stagnated(changes: list[float], floor: float) -> bool:
         and changes[-1] <= STAG_FLOOR * floor
         and changes[-1] > STAG_SHRINK * changes[-1 - STAG_WINDOW]
     )
+
+
+def _diverged(norms: list[float], x: np.ndarray) -> bool:
+    """Divergence test on the residual norms so far, all finite but the last:
+    the last norm or x is not finite, or the norm tops both the one
+    GUARD_WINDOW steps back and GUARD_FACTOR times the smallest. The factor
+    catches an exponential divergence within 10-20 steps, while a converged
+    solve jittering at its plateau stays near the smallest norm."""
+    last = norms[-1]
+    if not (math.isfinite(last) and np.isfinite(x).all()):
+        return True
+    return (len(norms) > GUARD_WINDOW and last > norms[-1 - GUARD_WINDOW]
+            and last > GUARD_FACTOR * min(norms))
 
 
 def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> np.ndarray:
@@ -268,41 +291,13 @@ def _sketch_factor(
     return x0, r_fac, float(sv[0]), float(sv[0] / sv[-1])
 
 
-class _DivergenceGuard:
-    """Flags divergence when the residual norm climbs 10^4x above its
-    running minimum while still growing over the trailing 5 steps, or when
-    any iterate turns non-finite.
-
-    The growth factor is large enough that an exponentially diverging run
-    is still captured over ~10-20 iterations before termination, while a
-    converged solver jittering at its plateau never trips the guard (its
-    residual norm stays near the running minimum)."""
-
-    WINDOW = 5
-    FACTOR = 1.0e4
-
-    def __init__(self) -> None:
-        self._norms: list[float] = []
-        self._min = math.inf
-
-    def diverged(self, resnorm: float, x: np.ndarray) -> bool:
-        if not (np.isfinite(resnorm) and np.all(np.isfinite(x))):
-            return True
-        self._norms.append(resnorm)
-        self._min = min(self._min, resnorm)
-        if len(self._norms) <= self.WINDOW:
-            return False
-        still_growing = resnorm > self._norms[-(self.WINDOW + 1)]
-        return still_growing and resnorm > self.FACTOR * self._min
-
-
 def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """(FE, RE) of x with residual r = b - Ax against the planted truth. RE
     divides by the planted beta, not by ||truth.r|| (equal only up to
     rounding), and is ||r|| / ||b|| where beta = 0."""
     if truth.beta > 0:
-        return forward_error(truth.x, x), _norm(truth.r - r) / truth.beta
-    return forward_error(truth.x, x), _norm(r) / _norm(b)
+        return forward_error(truth.x, x), _norm2(truth.r - r) / truth.beta
+    return forward_error(truth.x, x), _norm2(r) / _norm2(b)
 
 
 def _record(
@@ -349,29 +344,29 @@ def _run_refinement(
 ) -> SolveResult:
     """Shared refinement loop: x_{i+1} = x_i + alpha*d_i + beta*(x_i - x_{i-1})
     with d_i = correction(x_i, r_i), plus tracing, the stopping rule, the
-    stagnation test, and the divergence guard. The stable solver and its
+    stagnation test, and the divergence test. The stable solver and its
     unstable baselines differ only in correction."""
     alpha, beta, eps = _update_coeffs(cfg, x0.shape[0])
     trace = SolveTrace(normest=normest, condest=condest, epsilon=eps)
-    guard = _DivergenceGuard()
     norm_b = _norm2(b)
     x = x0
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = _residual(a, b, x)
-    _check_range(normest, _norm(r))
+    _check_range(normest, _norm2(r))
     _record(trace, b, x, r, truth)
     for _ in range(cfg.max_iters):
         x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
         r_next = _residual(a, b, x_next)
-        change = _norm(np.subtract(r_next, r, out=r))  # r is not needed again
-        resnorm = _norm(r_next)
-        norm_x = _norm(x_next)
+        change = _norm2(np.subtract(r_next, r, out=r))  # r is not needed again
+        resnorm = _norm2(r_next)
+        norm_x = _norm2(x_next)
         threshold = _stop_threshold(norm_x, resnorm, normest, condest)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
+        trace.residual_norms.append(resnorm)
         x_prev, x, r = x, x_next, r_next
         _record(trace, b, x, r, truth)
-        if guard.diverged(resnorm, x):
+        if _diverged(trace.residual_norms, x):
             trace.stop_reason = "diverged"
             break
         if change <= threshold:
@@ -436,7 +431,7 @@ def bad_variant(
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
         except np.linalg.LinAlgError:
             # a singular Gram matrix gives a zero pivot and a non-finite x0;
-            # the divergence guard reports it instead of lu_solve raising
+            # the divergence test reports it instead of lu_solve raising
             gram_solve = partial(
                 scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram), check_finite=False)
         x0 = gram_solve(sa.T @ sab[:, -1])
@@ -554,9 +549,10 @@ def sketch_and_precondition(
 
     def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
         x = x0 + tri_solve_upper(r_fac, z)
-        threshold = _stop_threshold(_norm(x), resnorm, normest, condest)
+        threshold = _stop_threshold(_norm2(x), resnorm, normest, condest)
         trace.residual_changes.append(change)
         trace.stop_thresholds.append(threshold)
+        trace.residual_norms.append(resnorm)
         record(x)
         return change <= threshold
 

@@ -108,6 +108,23 @@ class TestQrSolve:
         with pytest.raises(ValueError, match=r"^b must be a vector of length m=30"):
             qr_solve(a, np.ones(29))
 
+    def test_complex_input_rejected(self):
+        # a cast to float would drop the imaginary part and solve the real one
+        rng = np.random.default_rng(14)
+        a, b = rng.standard_normal((30, 4)), rng.standard_normal(30)
+        with pytest.raises(ValueError, match="^A must be real"):
+            qr_solve(a + 1j, b)
+        with pytest.raises(ValueError, match="^b must be real"):
+            qr_solve(a, b.astype(complex))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    def test_real_input_solved_as_float(self, dtype):
+        a = np.random.default_rng(15).integers(0, 2, (30, 4)).astype(dtype)
+        b = np.arange(30)
+        x, r = qr_solve(a, b)
+        x_ref, r_ref = qr_solve(a.astype(float), b.astype(float))
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
+
     @pytest.mark.parametrize("m,n", [(40, 40), (400, 20), (1000, 50), (3000, 100), (1000, 128)])
     def test_bits_equal_gufunc_route(self, m, n):
         # the route qr_solve took before it shared the thin QR's kernel: the
@@ -343,7 +360,7 @@ class TestTriangularSolves:
                 solve(r_c[:, :29], c)
             with pytest.raises(ValueError, match="square"):
                 solve(r_c, c[:29])
-        # the solvers' norms take np.linalg.norm's bits, on m- and n-vectors
+        # LSQR's norms take np.linalg.norm's bits, on m- and n-vectors
         for v in (a[:, 0], c, a @ c):
             assert _norm(v) == float(np.linalg.norm(v))
 

@@ -76,7 +76,7 @@ def test_solve_trace_fields():
     # a field a solve records is added here on purpose; bench/test_smoke.py
     # builds SolveTrace() with no arguments
     assert [f.name for f in dataclasses.fields(SolveTrace)] == [
-        "iterates", "residual_changes", "stop_thresholds", "fe", "re",
+        "iterates", "residual_changes", "stop_thresholds", "residual_norms", "fe", "re",
         "stop_reason", "normest", "condest", "epsilon",
     ]
 

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from blas_threads import probe_outputs
 from peak import peak_bytes
 from itsketch.embed import measure_distortion, sparse_sign_new
 from itsketch.linalg import (
     SingularMatrixError,
+    _norm2,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
@@ -43,6 +45,7 @@ from itsketch.solvers import (
     sketch_and_solve,
     theoretical_bound_curve,
     _EPS_BASIC_MAX,
+    _diverged,
     _sketch_factor,
     _stagnated,
     _stop_threshold,
@@ -393,16 +396,18 @@ class TestIterativeSketching:
 
     def test_sparse_solve_bitwise_equal_across_blas_threads(self):
         # With a sparse A the products with A and A' are SciPy's sparse kernels,
-        # not the threaded BLAS, so the iterates do not depend on its thread
-        # count. The norms of m-vectors (residual changes, thresholds) and a
-        # dense A's products A'r do.
+        # not the threaded BLAS, and every norm is BLAS nrm2, which is not
+        # threaded either, so neither the iterates nor the trace's scalars
+        # depend on the thread count. A dense A's products A'r do.
         probe = (
             "import hashlib, numpy as np\n"
             "from itsketch import SolverConfig, gen_sparse, iterative_sketching\n"
             "p = gen_sparse(20_000, 10, 0)\n"
             "cfg = SolverConfig(d=200, variant='basic', max_iters=100, rng_seed=1)\n"
             "res = iterative_sketching(p.a, p.b, cfg)\n"
-            "xs = np.concatenate([res.solution, *res.trace.iterates])\n"
+            "t = res.trace\n"
+            "xs = np.concatenate([res.solution, *t.iterates, t.residual_changes,\n"
+            "                     t.stop_thresholds, t.residual_norms])\n"
             "print(res.trace.stop_reason, res.iterations, hashlib.sha256(xs.tobytes()).hexdigest())\n"
         )
         outs = probe_outputs(probe)
@@ -536,8 +541,13 @@ class TestSketchAndPrecondition:
         cfg = SolverConfig(d=200, variant="basic", max_iters=30)
         res = sketch_and_precondition(p.a, p.b, cfg, p.truth)
         assert len(res.trace.iterates) == res.iterations + 1
-        assert len(res.trace.residual_changes) == res.iterations
-        assert len(res.trace.stop_thresholds) == res.iterations
+        tr = res.trace
+        assert len(tr.residual_changes) == len(tr.residual_norms) == res.iterations
+        assert len(tr.stop_thresholds) == res.iterations
+        # each threshold takes LSQR's phibar as ||r||, as recorded
+        for i, (threshold, resnorm) in enumerate(zip(tr.stop_thresholds, tr.residual_norms)):
+            norm_x = _norm2(tr.iterates[i + 1])
+            assert threshold == _stop_threshold(norm_x, resnorm, tr.normest, tr.condest)
 
     def test_stop_reasons(self):
         # the residual-change rule ends this solve, well before LSQR's own
@@ -758,11 +768,13 @@ class TestTraceMemory:
         p = gen_randsvd(800, 12, 1e6, 1e-3, 3) if dense else gen_sparse(3000, 12, 3)
         cfg = SolverConfig(d=240, variant="basic", max_iters=25, rng_seed=3)
         res = _SOLVES[solve](p.a, p.b, cfg)
-        xs = res.trace.iterates
-        assert len(res.trace.residual_changes) == len(xs) - 1 > 0
-        for i, change in enumerate(res.trace.residual_changes):
+        tr = res.trace
+        xs = tr.iterates
+        assert len(tr.residual_changes) == len(tr.residual_norms) == len(xs) - 1 > 0
+        for i, (change, resnorm) in enumerate(zip(tr.residual_changes, tr.residual_norms)):
             r_next, r_curr = p.b - p.a @ xs[i + 1], p.b - p.a @ xs[i]
-            assert float(np.linalg.norm(r_next - r_curr)) == change
+            assert _norm2(r_next - r_curr) == change
+            assert _norm2(r_next) == resnorm
 
     def test_no_m_length_array_held(self):
         m, n = 50_000, 20
@@ -801,12 +813,58 @@ class TestTraceMemory:
             x_next, x_curr = tr.iterates[i + 1], tr.iterates[i]
             r_next = p.b - p.a @ x_next
             expect = U * (
-                STOP_GAMMA * tr.normest * np.linalg.norm(x_next)
-                + STOP_RHO * tr.condest * np.linalg.norm(r_next)
+                STOP_GAMMA * tr.normest * _norm2(x_next)
+                + STOP_RHO * tr.condest * _norm2(r_next)
             )
             assert threshold == float(expect)
-            formed = np.linalg.norm(r_next - (p.b - p.a @ x_curr))
+            formed = _norm2(r_next - (p.b - p.a @ x_curr))
             assert fired[i] == bool(formed <= threshold)
+
+
+def _stop_from_trace(tr, norm_b):
+    """(step, reason) of the first stop test that fires, recomputed from the
+    trace and ||b|| alone in _run_refinement's order: the divergence test,
+    the rule, the stagnation test; (steps taken, "max_iters") if none does."""
+    for i, (change, threshold) in enumerate(zip(tr.residual_changes, tr.stop_thresholds)):
+        x = tr.iterates[i + 1]
+        if _diverged(tr.residual_norms[: i + 1], x):
+            return i + 1, "diverged"
+        if change <= threshold:
+            return i + 1, "stopped_by_rule"
+        if _stagnated(tr.residual_changes[: i + 1], U * (norm_b + tr.normest * _norm2(x))):
+            return i + 1, "stagnated"
+    return len(tr.residual_changes), "max_iters"
+
+
+_BASIC = SolverConfig(d=400, variant="basic", max_iters=100, rng_seed=0)
+_HARD = SolverConfig(d=1000, variant="basic", max_iters=60)
+_STOP_CASES = {
+    # name: (problem, solve, cfg, the reason the solve ends with)
+    "basic-rule": (lambda: gen_randsvd(1000, 20, 1e8, 1e-4, 7), iterative_sketching, _BASIC,
+                   "stopped_by_rule"),
+    "momentum-rule": (lambda: gen_randsvd(1000, 20, 1e8, 1e-4, 7), iterative_sketching,
+                      replace(_BASIC, variant="momentum"), "stopped_by_rule"),
+    "momentum-max_iters": (lambda: gen_randsvd(1000, 20, 1e8, 1e-4, 7), iterative_sketching,
+                           replace(_BASIC, variant="momentum", max_iters=3), "max_iters"),
+    "basic-stagnated": (lambda: gen_sparse(20_000, 10, 0), iterative_sketching,
+                        SolverConfig(d=200, variant="basic", max_iters=100, rng_seed=1), "stagnated"),
+    "bad_matrix-diverged": (lambda: gen_randsvd(4000, 50, 1e10, 1e-6, 0),
+                            partial(bad_variant, kind="bad_matrix"), _HARD, "diverged"),
+    "bad_residual-max_iters": (lambda: gen_randsvd(4000, 50, 1e10, 1e-6, 0),
+                               partial(bad_variant, kind="bad_residual"), _HARD, "max_iters"),
+    "bad_init-rule": (lambda: gen_randsvd(4000, 50, 1e10, 1e-6, 0),
+                      partial(bad_variant, kind="bad_init"), replace(_HARD, max_iters=250),
+                      "stopped_by_rule"),
+}
+
+
+@pytest.mark.parametrize("case", _STOP_CASES)
+def test_trace_explains_the_stop(case):
+    make, solve, cfg, reason = _STOP_CASES[case]
+    p = make()
+    res = solve(p.a, p.b, cfg)
+    assert res.trace.stop_reason == reason
+    assert _stop_from_trace(res.trace, _norm2(p.b)) == (res.iterations, reason)
 
 
 class TestBadVariants:
@@ -825,7 +883,8 @@ class TestBadVariants:
     def test_bad_matrix_singular_gram_reports_divergence(self, seed):
         # a zero column makes the Gram matrix singular: Cholesky fails, LU
         # meets an exactly zero pivot and x0 is not finite, which the
-        # divergence guard reports instead of lu_solve raising
+        # divergence test reports from the first step's residual norm
+        # instead of lu_solve raising
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 4))
         a[:, 2] = 0.0
@@ -834,6 +893,8 @@ class TestBadVariants:
             cfg = SolverConfig(d=40, variant="basic", rng_seed=seed)
             res = bad_variant(a, b, cfg, "bad_matrix")
         assert res.trace.stop_reason == "diverged"
+        assert not math.isfinite(res.trace.residual_norms[-1])
+        assert _stop_from_trace(res.trace, _norm2(b)) == (res.iterations, "diverged")
 
     def test_bad_residual_high_plateau(self):
         p = self._hard_problem()
@@ -913,6 +974,73 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"^b must be finite"):
             solve(a, b, self.CFG)
 
+    def test_complex_a_or_b(self, solve, dense):
+        # a cast to float would drop the imaginary part and solve the real one
+        a, b = self._problem(dense)
+        with pytest.raises(ValueError, match=r"^A must be real"):
+            solve(a * (1 + 1j), b, self.CFG)
+        with pytest.raises(ValueError, match=r"^b must be real"):
+            solve(a, b + 1j, self.CFG)
+
+
+@pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
+@pytest.mark.parametrize("name, value", [
+    ("d", 100.0), ("zeta", 8.0), ("rng_seed", 2.5), ("max_iters", 5.5), ("max_iters", np.float64(5)),
+])
+def test_non_integer_config_field_rejected(solve, name, value):
+    p = gen_randsvd(300, 6, 10.0, 1e-3, 0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        solve(p.a, p.b, replace(SolverConfig(d=60), **{name: value}))
+
+
+@st.composite
+def _entry_inputs(draw):
+    """(A, b, cfg, refusals): A of at most 300 x 8 in one of five dtypes, and
+    cfg's integer fields as ints or NumPy ints, but for at most one drawn as
+    a float, integral or not; refusals holds the start of each message that
+    may refuse the solve."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    a = rng.standard_normal((m, n))
+    dtype = draw(st.sampled_from(["float64", "float32", "int64", "bool", "complex128"]))
+    a = {"float64": a, "float32": a.astype(np.float32), "int64": np.rint(4 * a).astype(np.int64),
+         "bool": a > 0, "complex128": a + 1j * rng.standard_normal((m, n))}[dtype]
+    ranges = {"d": (n + 1, n + 40), "zeta": (1, 8), "max_iters": (0, 20), "rng_seed": (0, 2**31 - 1)}
+    as_float = draw(st.sampled_from([None, None, *ranges]))
+    fields = {}
+    for name, (low, high) in ranges.items():
+        v = draw(st.integers(low, high))
+        forms = [float(v), v + 0.5] if name == as_float else [v, np.int64(v), np.int32(v)]
+        fields[name] = draw(st.sampled_from(forms))
+    refusals = [] if as_float is None else [f"{as_float} must be an integer"]
+    if dtype == "complex128":
+        refusals.append("A must be real")
+    return a, rng.standard_normal(m), SolverConfig(**fields), refusals
+
+
+_REASONS = {
+    iterative_sketching: {"stopped_by_rule", "stagnated", "max_iters", "diverged"},
+    sketch_and_precondition: {"stopped_by_rule", "lsqr_tolerance", "max_iters"},
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=_entry_inputs(), solve=st.sampled_from(list(_REASONS)))
+def test_entry_input_handling(inputs, solve):
+    # whatever the fields' types and A's dtype: a finite solution with a
+    # documented reason, or a ValueError; a non-integer field or a complex A
+    # is always refused, by name
+    a, b, cfg, refusals = inputs
+    try:
+        res = solve(a, b, cfg)
+    except ValueError as e:
+        assert not refusals or str(e).startswith(tuple(refusals))
+        return
+    assert not refusals
+    assert np.isfinite(res.solution).all()
+    assert res.trace.stop_reason in _REASONS[solve]
+
 
 @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
 @pytest.mark.parametrize("kind", ENTRY_SOLVES)
@@ -964,7 +1092,8 @@ def test_scaled_input_rejected_before_iterating_or_solved(solve):
     # at 1e160, A'r (IS) and ||b - Ax0||^2 (SP) overflow, so the solve is
     # refused before its first step; at 1e155 both still reach a few u
     p = gen_randsvd(2000, 20, 1e2, 1e-3, 0)
-    # at 1e160 ||r0||^2 overflows on the way to the range check
+    # at 1e160 LSQR's ||r0||, taken by squaring, overflows on the way to the
+    # range check; iterative sketching takes it by nrm2, which does not
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="too large to iterate on"):
             solve(p.a * 1e160, p.b * 1e160, SolverConfig(d=400))
