@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .embed import SparseSignEmbedding, sparse_sign_new
+from .embed import SparseSignEmbedding, _check_integer, sparse_sign_new
 from .linalg import (
     SingularMatrixError,
     _as_rhs,
@@ -57,8 +57,7 @@ class SolverConfig:
 
     def validate(self, n: int) -> None:
         for name in ("d", "zeta", "max_iters", "rng_seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _check_integer(name, getattr(self, name))
         if n < 1:
             raise ValueError(f"A must have at least one column, got n={n}")
         if self.d < n:
@@ -301,14 +300,28 @@ def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[
 
 
 def _record(
-    trace: SolveTrace, b: np.ndarray, x: np.ndarray, r: np.ndarray | None,
+    trace: SolveTrace, a, b: np.ndarray, x: np.ndarray, r: np.ndarray | None,
     truth: Truth | None,
 ) -> None:
+    """Append x and, given truth, its FE and RE, which read r = b - Ax, formed
+    here by _residual where the solver formed none (r is None)."""
     trace.iterates.append(x)
     if truth is not None:
-        fe, re = _errors(truth, b, x, r)
+        fe, re = _errors(truth, b, x, _residual(a, b, x) if r is None else r)
         trace.fe.append(fe)
         trace.re.append(re)
+
+
+def _step(trace: SolveTrace, a, b: np.ndarray, x: np.ndarray, change: float, resnorm: float,
+          r: np.ndarray | None, truth: Truth | None) -> bool:
+    """Record a step of either solver to x with ||r_{i+1} - r_i|| = change and
+    ||r_{i+1}|| = resnorm, and return whether the residual-change rule fired."""
+    threshold = _stop_threshold(_norm2(x), resnorm, trace.normest, trace.condest)
+    trace.residual_changes.append(change)
+    trace.stop_thresholds.append(threshold)
+    trace.residual_norms.append(resnorm)
+    _record(trace, a, b, x, r, truth)
+    return change <= threshold
 
 
 def _update_coeffs(cfg: SolverConfig, n: int) -> tuple[float, float, float]:
@@ -353,26 +366,20 @@ def _run_refinement(
     x_prev = x0  # momentum start: x_{-1} := x_0
     r = _residual(a, b, x)
     _check_range(normest, _norm2(r))
-    _record(trace, b, x, r, truth)
+    _record(trace, a, b, x, r, truth)
     for _ in range(cfg.max_iters):
         x_next = x + alpha * correction(x, r) + beta * (x - x_prev)
         r_next = _residual(a, b, x_next)
         change = _norm2(np.subtract(r_next, r, out=r))  # r is not needed again
-        resnorm = _norm2(r_next)
-        norm_x = _norm2(x_next)
-        threshold = _stop_threshold(norm_x, resnorm, normest, condest)
-        trace.residual_changes.append(change)
-        trace.stop_thresholds.append(threshold)
-        trace.residual_norms.append(resnorm)
         x_prev, x, r = x, x_next, r_next
-        _record(trace, b, x, r, truth)
+        fired = _step(trace, a, b, x, change, _norm2(r), r, truth)
         if _diverged(trace.residual_norms, x):
             trace.stop_reason = "diverged"
             break
-        if change <= threshold:
+        if fired:
             trace.stop_reason = "stopped_by_rule"
             break
-        if _stagnated(trace.residual_changes, U * (norm_b + normest * norm_x)):
+        if _stagnated(trace.residual_changes, U * (norm_b + normest * _norm2(x))):
             trace.stop_reason = "stagnated"
             break
     return SolveResult(solution=x, trace=trace, config=cfg)
@@ -534,37 +541,25 @@ def sketch_and_precondition(
     """Sketch, QR-factorize the sketch, then run LSQR on A right-preconditioned
     by the R factor, starting from the sketch-and-solve or zero iterate.
 
-    The trace's residual changes are LSQR's own |phi_k| (see lsqr), and the
-    solve stops at the first step that meets the residual-change rule with
-    LSQR's phibar_k as ||r_k||, as _run_refinement does; LSQR's own tolerance
-    and max_iters are the other two stops. b - Ax is formed only for the
-    errors against truth, so without truth each step makes two products with
-    A or A', not three."""
+    Each LSQR step is recorded by _step, as _run_refinement's are: its
+    residual change is LSQR's own |phi_k| (see lsqr) and its ||r_k|| LSQR's
+    phibar_k, and the solve stops as stopped_by_rule at the first step that
+    meets the residual-change rule. LSQR's own tolerance and max_iters are
+    the other two stops. b - Ax is formed only for the errors against truth,
+    so without truth each step makes two products with A or A', not three.
+    The solution is the last traced iterate."""
     b = _as_rhs(a, b)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
-
-    def record(x: np.ndarray) -> None:
-        _record(trace, b, x, None if truth is None else b - a @ x, truth)
+    _record(trace, a, b, x0, None, truth)
 
     def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
-        x = x0 + tri_solve_upper(r_fac, z)
-        threshold = _stop_threshold(_norm2(x), resnorm, normest, condest)
-        trace.residual_changes.append(change)
-        trace.stop_thresholds.append(threshold)
-        trace.residual_norms.append(resnorm)
-        record(x)
-        return change <= threshold
+        fired = _step(trace, a, b, x0 + tri_solve_upper(r_fac, z), change, resnorm, None, truth)
+        if fired:
+            trace.stop_reason = "stopped_by_rule"
+        return fired
 
-    record(x0)
-
-    x, iters = lsqr(a, b, x0, r_fac, max_iters=cfg.max_iters, rtol=U, callback=on_iterate)
-    # the callback ends LSQR at the step it returns True, so only the last
-    # traced step can have met the rule
-    if iters and trace.residual_changes[-1] <= trace.stop_thresholds[-1]:
-        trace.stop_reason = "stopped_by_rule"
-    elif iters < cfg.max_iters:
+    _, iters = lsqr(a, b, x0, r_fac, max_iters=cfg.max_iters, rtol=U, callback=on_iterate)
+    if trace.stop_reason == "max_iters" and iters < cfg.max_iters:
         trace.stop_reason = "lsqr_tolerance"
-    # lsqr returns x0 + R^-1 z for the z of its last callback, which is the
-    # last traced iterate bit for bit
-    return SolveResult(solution=x, trace=trace, config=cfg)
+    return SolveResult(solution=trace.iterates[-1], trace=trace, config=cfg)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestSparseSignNew:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             sparse_sign_new(d=10, m=5, zeta=4, rng_seed=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("d", 20.0), ("m", 200.0), ("zeta", 4.0), ("rng_seed", 1.5), ("zeta", True), ("rng_seed", False),
+    ])
+    def test_non_integer_argument_rejected(self, name, value):
+        args = {"d": 20, "m": 200, "zeta": 4, "rng_seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
+            sparse_sign_new(**args)
 
     def test_deterministic(self):
         s1 = sparse_sign_new(20, 30, 4, rng_seed=7)
@@ -269,6 +278,14 @@ class TestApply:
         with pytest.raises(ValueError):
             s.apply(np.ones((20, 2)), np.ones(21))
 
+    @pytest.mark.parametrize("args", [
+        (np.ones(20), np.ones(20)), (np.array(1.0),), (np.ones((20, 2, 2)),),
+    ], ids=["vector-with-b", "0-d", "3-d"])
+    def test_input_of_wrong_rank(self, args):
+        s = sparse_sign_new(10, 20, 3, 0)
+        with pytest.raises(ValueError, match=re.escape(f"got an input of shape {args[0].shape}")):
+            s.apply(*args)
+
     def test_right_multiplication_associativity(self):
         s = sparse_sign_new(25, 60, 4, 8)
         rng = np.random.default_rng(9)
@@ -297,6 +314,11 @@ class TestMeasureDistortion:
         s = sparse_sign_new(10, 6, 3, 0)
         with pytest.raises(ValueError):
             measure_distortion(s, np.ones((6, 2)))
+
+    def test_vector_basis_rejected(self):
+        s = sparse_sign_new(10, 6, 3, 0)
+        with pytest.raises(ValueError, match=r"^basis_q must be an m x k matrix, got shape \(6,\)"):
+            measure_distortion(s, np.ones(6) / math.sqrt(6))
 
     def test_epsilon_definition(self):
         s = sparse_sign_new(50, 120, 8, 3)

@@ -683,17 +683,6 @@ class TestSketchAndPrecondition:
                 assert abs(resnorm - formed) <= 1e-2 * formed
         assert compared >= 5
 
-    @pytest.mark.parametrize("beta", [1e-3, 0.0])
-    def test_solution_is_last_traced_iterate(self, beta):
-        p = gen_randsvd(600, 12, 1e4, beta, 2)
-        cfg = SolverConfig(d=240, variant="basic", max_iters=40)
-        res = sketch_and_precondition(p.a, p.b, cfg, p.truth)
-        assert np.array_equal(res.solution, res.trace.iterates[-1])
-        assert res.trace.fe[-1] == forward_error(p.truth.x, res.solution)
-        r = p.b - p.a @ res.solution
-        re = np.linalg.norm(p.truth.r - r) / beta if beta > 0 else np.linalg.norm(r) / np.linalg.norm(p.b)
-        assert res.trace.re[-1] == float(re)
-
 
 class _CountedDense(np.ndarray):
     """View of a dense A that counts its products A @ x; A.T is a view of
@@ -986,6 +975,7 @@ class TestInputChecks:
 @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
 @pytest.mark.parametrize("name, value", [
     ("d", 100.0), ("zeta", 8.0), ("rng_seed", 2.5), ("max_iters", 5.5), ("max_iters", np.float64(5)),
+    ("zeta", True), ("max_iters", True), ("rng_seed", False),
 ])
 def test_non_integer_config_field_rejected(solve, name, value):
     p = gen_randsvd(300, 6, 10.0, 1e-3, 0)
@@ -1054,6 +1044,23 @@ def test_trace_records_epsilon(kind, variant):
         assert math.isnan(eps)
     else:
         assert eps == math.sqrt(10 / 40)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.0])
+@pytest.mark.parametrize("kind, variant", [
+    ("is", "basic"), ("is", "momentum"), ("bad_matrix", "basic"), ("bad_residual", "basic"),
+    ("bad_init", "basic"), ("sp", "basic"),
+], ids=["basic", "momentum", "bad_matrix", "bad_residual", "bad_init", "sp"])
+def test_solution_is_last_traced_iterate(kind, variant, beta):
+    # every solver returns its last traced iterate itself, whose FE and RE
+    # are those of the solution with b - Ax formed as a caller forms it
+    p = gen_randsvd(600, 12, 1e4, beta, 2)
+    cfg = SolverConfig(d=240, variant=variant, max_iters=40)
+    res = ENTRY_SOLVES[kind](p.a, p.b, cfg, truth=p.truth)
+    assert res.solution is res.trace.iterates[-1]
+    assert res.trace.fe[-1] == forward_error(p.truth.x, res.solution)
+    r = p.b - p.a @ res.solution
+    assert res.trace.re[-1] == (_norm2(p.truth.r - r) / beta if beta > 0 else _norm2(r) / _norm2(p.b))
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
