@@ -40,24 +40,45 @@ COLUMN_BLOCK = 8192
 GROUP_ENTRIES = 2**17
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError unless value is a Python or NumPy integer. A bool is refused
+    too: Python counts it an int, but no count of the package is a flag."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SparseSignEmbedding:
     """Sparse sign embedding S (d x m) in the OSNAP block form.
 
     The d rows are split into zeta contiguous blocks, block k starting at
-    row (k*d)//zeta, and each column holds one entry +-scale in a uniform
-    row of every block, with an independent sign. Columns are drawn in
-    blocks of COLUMN_BLOCK, block j from the stream
+    row (k*d)//zeta, and each column holds one entry +-scale = +-1/sqrt(zeta)
+    in a uniform row of every block, with an independent sign. Columns are
+    drawn in blocks of COLUMN_BLOCK, block j from the stream
     ``default_rng([rng_seed, j])``, so the first m columns of S do not
     depend on m. No array is held: S is drawn again, block by block, each
-    time it is applied.
+    time it is applied. Its counts are checked where it is built, directly
+    or by dataclasses.replace.
     """
 
     d: int
     m: int
     zeta: int
-    scale: float
     rng_seed: int
+
+    def __post_init__(self) -> None:
+        for name in ("d", "m", "zeta", "rng_seed"):
+            _check_integer(name, getattr(self, name))
+        if self.d < 1 or self.m < 1:
+            raise ValueError("d and m must be >= 1")
+        if not 1 <= self.zeta <= self.d:
+            raise ValueError(f"need 1 <= zeta <= d, got zeta={self.zeta}, d={self.d}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / math.sqrt(self.zeta)
 
     def _row_starts(self) -> np.ndarray:
         """First row of each of the zeta row blocks, then d."""
@@ -95,9 +116,16 @@ class SparseSignEmbedding:
         A is read through its rows and, if sparse, its CSR arrays; any other
         sparse format is first copied whole to CSR (a solve on a 2e5 x 100
         gen_sparse A at d = 3000 peaks at 11.29 MiB as CSC or COO, 3.66 MiB
-        as CSR). No product with A or A' is formed. Each entry of the result
-        is the same sum, in the same order, as one product of all of S with A
-        would form."""
+        as CSR). No product with A or A' is formed. A dense a or a b given as
+        a list is read as its array. Each column block of S is multiplied with
+        the same rows of A as a sum from zero, in S's column order, and the
+        blocks' products are added to the result one after another; past
+        COLUMN_BLOCK columns that order differs in rounding from one product
+        of all of S with A."""
+        sparse = sp.issparse(a)
+        a = a.tocsr() if sparse else np.asarray(a, dtype=float)
+        if b is not None:
+            b = np.asarray(b, dtype=float)
         if a.ndim not in (1, 2) or (b is not None and a.ndim != 2):
             raise ValueError(f"S applies to an m x n matrix, or without b to a length-m vector;"
                              f" got an input of shape {a.shape}")
@@ -105,8 +133,6 @@ class SparseSignEmbedding:
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
         if b is not None and b.shape != (self.m,):
             raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, b has shape {b.shape}")
-        sparse = sp.issparse(a)
-        a = a.tocsr() if sparse else np.asarray(a, dtype=float)
         width = a.shape[1:] if b is None else (a.shape[1] + 1,)
         out = np.zeros((self.d, *width), order="F")
         add_block = self._scatter_csr if sparse else self._add_dense
@@ -179,27 +205,6 @@ class SparseSignEmbedding:
             del sums  # before the next row block's
             if b is not None:
                 part[:, n] += np.bincount(rows, entries * b[lo:hi], minlength=part.shape[0])
-
-
-def _check_integer(name: str, value) -> None:
-    """ValueError unless value is a Python or NumPy integer. A bool is refused
-    too: Python counts it an int, but no count of the package is a flag."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def sparse_sign_new(d: int, m: int, zeta: int, rng_seed: int) -> SparseSignEmbedding:
-    """A sparse sign embedding, deterministic for a given seed. Nothing is
-    drawn until it is applied."""
-    for name, value in (("d", d), ("m", m), ("zeta", zeta), ("rng_seed", rng_seed)):
-        _check_integer(name, value)
-    if d < 1 or m < 1:
-        raise ValueError("d and m must be >= 1")
-    if not 1 <= zeta <= d:
-        raise ValueError(f"need 1 <= zeta <= d, got zeta={zeta}, d={d}")
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
-    return SparseSignEmbedding(d=d, m=m, zeta=zeta, scale=1.0 / math.sqrt(zeta), rng_seed=rng_seed)
 
 
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:

@@ -13,8 +13,9 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .embed import SparseSignEmbedding, _check_integer, sparse_sign_new
+from .embed import SparseSignEmbedding, _check_integer
 from .linalg import (
     SingularMatrixError,
     _as_rhs,
@@ -56,14 +57,15 @@ class SolverConfig:
     rng_seed: int = 0
 
     def validate(self, n: int) -> None:
-        for name in ("d", "zeta", "max_iters", "rng_seed"):
+        """ValueError unless d and max_iters are integers, A's n >= 1, d >= n,
+        max_iters >= 0 and variant and init are known. zeta and rng_seed are
+        left to SparseSignEmbedding, which every solve builds from them."""
+        for name in ("d", "max_iters"):
             _check_integer(name, getattr(self, name))
         if n < 1:
             raise ValueError(f"A must have at least one column, got n={n}")
         if self.d < n:
             raise ValueError(f"embedding dimension d={self.d} must be >= n={n}")
-        if self.zeta < 1:
-            raise ValueError("zeta must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
@@ -269,13 +271,16 @@ def sketch_and_solve(
     return _qr_solve_in_place(_sketch(a, _as_rhs(a, b), s).T)
 
 
-def _new_sketch(a, cfg: SolverConfig) -> SparseSignEmbedding:
-    """Validate cfg against A's shape and build its S."""
+def _as_problem(a, b, cfg: SolverConfig) -> tuple:
+    """A as an array (a subclass kept) unless sparse, and b as _as_rhs gives
+    it, after cfg is validated against A's shape."""
+    a = a if sp.issparse(a) else np.asanyarray(a)
+    b = _as_rhs(a, b)
     m, n = a.shape
     cfg.validate(n)
     if m < n:
         raise ValueError(f"need m >= n, got {m} x {n}")
-    return sparse_sign_new(cfg.d, m, cfg.zeta, cfg.rng_seed)
+    return a, b
 
 
 def _sketch_factor(
@@ -283,7 +288,7 @@ def _sketch_factor(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Build S, sketch-and-solve, and estimate ||A|| and cond(A) from the
     singular values of R: (x0, R, normest, condest)."""
-    x0, r_fac = sketch_and_solve(a, b, _new_sketch(a, cfg))
+    x0, r_fac = sketch_and_solve(a, b, SparseSignEmbedding(cfg.d, a.shape[0], cfg.zeta, cfg.rng_seed))
     if cfg.init == "zero":
         x0 = np.zeros(a.shape[1])
     sv = svd_values(r_fac)
@@ -349,6 +354,7 @@ def _run_refinement(
     a,
     b: np.ndarray,
     cfg: SolverConfig,
+    coeffs: tuple[float, float, float],
     x0: np.ndarray,
     correction,
     normest: float,
@@ -356,10 +362,10 @@ def _run_refinement(
     truth: Truth | None,
 ) -> SolveResult:
     """Shared refinement loop: x_{i+1} = x_i + alpha*d_i + beta*(x_i - x_{i-1})
-    with d_i = correction(x_i, r_i), plus tracing, the stopping rule, the
-    stagnation test, and the divergence test. The stable solver and its
-    unstable baselines differ only in correction."""
-    alpha, beta, eps = _update_coeffs(cfg, x0.shape[0])
+    with d_i = correction(x_i, r_i) and (alpha, beta, eps) = coeffs, plus
+    tracing, the stopping rule, the stagnation test, and the divergence test.
+    The stable solver and its unstable baselines differ only in correction."""
+    alpha, beta, eps = coeffs
     trace = SolveTrace(normest=normest, condest=condest, epsilon=eps)
     norm_b = _norm2(b)
     x = x0
@@ -396,10 +402,11 @@ def iterative_sketching(
     """Iterative refinement on the normal equations preconditioned by
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
-    b = _as_rhs(a, b)
+    a, b = _as_problem(a, b, cfg)
+    coeffs = _update_coeffs(cfg, a.shape[1])  # refuses d = n before anything is sketched
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     correction = lambda x, r: _normal_step(r_fac, a.T @ r)  # (R'R)^-1 A'r
-    return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
+    return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
 
 
 def bad_variant(
@@ -417,19 +424,20 @@ def bad_variant(
     solver, so with the default config it runs the momentum iteration; the
     paper demonstrates the baselines on the basic one (variant="basic").
     """
-    b = _as_rhs(a, b)
+    a, b = _as_problem(a, b, cfg)
 
     if kind == "bad_init":
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
+    coeffs = _update_coeffs(cfg, a.shape[1])
 
     if kind == "bad_residual":
         x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
         atb = a.T @ b
         correction = lambda x, r: _normal_step(r_fac, atb - a.T @ (a @ x))
-        return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
+        return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        sab = _sketch(a, b, _new_sketch(a, cfg))
+        sab = _sketch(a, b, SparseSignEmbedding(cfg.d, a.shape[0], cfg.zeta, cfg.rng_seed))
         # row-major: from a column-major SA, SA'Sb takes another BLAS path,
         # with other bits
         sa = np.ascontiguousarray(sab[:, :-1])
@@ -448,7 +456,7 @@ def bad_variant(
         normest = math.sqrt(gram_sv[0])
         condest = float(math.sqrt(gram_sv[0] / max(gram_sv[-1], np.finfo(float).tiny)))
         correction = lambda x, r: gram_solve(a.T @ r)
-        return _run_refinement(a, b, cfg, x0, correction, normest, condest, truth)
+        return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
 
     raise ValueError(f"unknown bad variant {kind!r}")
 
@@ -548,7 +556,7 @@ def sketch_and_precondition(
     the other two stops. b - Ax is formed only for the errors against truth,
     so without truth each step makes two products with A or A', not three.
     The solution is the last traced iterate."""
-    b = _as_rhs(a, b)
+    a, b = _as_problem(a, b, cfg)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     _record(trace, a, b, x0, None, truth)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from itsketch.embed import measure_distortion, sparse_sign_new
+from itsketch.embed import SparseSignEmbedding, measure_distortion
 from itsketch.linalg import svd_values, tri_solve_upper
 from itsketch.metrics import backward_error, wedin_bounds
 from itsketch.problems import gen_randsvd, gen_sparse
@@ -122,7 +122,7 @@ def test_criterion_02_geometric_rate():
     p = gen_randsvd(2000, 50, 1e2, 1e-3, 0)
     cfg = SolverConfig(d=1000, variant="basic", max_iters=12, rng_seed=1)
     res = iterative_sketching(p.a, p.b, cfg, p.truth)
-    s = sparse_sign_new(1000, 2000, 8, 1)
+    s = SparseSignEmbedding(1000, 2000, 8, 1)
     basis = np.linalg.qr(np.column_stack([p.a, p.b]), mode="reduced")[0]
     eps = measure_distortion(s, basis).epsilon
     re = res.trace.re
@@ -143,7 +143,7 @@ def test_criterion_03_sketch_and_solve_quality():
     violations = 0
     for seed in range(100):
         p = gen_randsvd(1000, 25, 1e4, 1e-3, seed)
-        s = sparse_sign_new(500, 1000, 8, seed)
+        s = SparseSignEmbedding(500, 1000, 8, seed)
         basis = np.linalg.qr(np.column_stack([p.a, p.b]), mode="reduced")[0]
         eps = measure_distortion(s, basis).epsilon
         x0, _ = sketch_and_solve(p.a, p.b, s)
@@ -162,7 +162,7 @@ def test_criterion_04_singular_value_bounds():
     violations = 0
     for seed in range(50):
         p = gen_randsvd(1000, 25, 1e4, 1e-3, seed)
-        s = sparse_sign_new(500, 1000, 8, seed)
+        s = SparseSignEmbedding(500, 1000, 8, seed)
         basis = np.linalg.qr(p.a, mode="reduced")[0]
         eps = measure_distortion(s, basis).epsilon
         r_fac = householder_qr_econ(s.apply(p.a)).r
@@ -297,7 +297,7 @@ def _rule_budget(p, seed):
     normest ~ ||R|| >= (1-eps)||A||, ||x_k|| ~ ||x||, ||r_k|| >= ||r||.
     """
     t = p.truth
-    s = sparse_sign_new(1000, p.a.shape[0], 8, seed)
+    s = SparseSignEmbedding(1000, p.a.shape[0], 8, seed)
     basis = np.linalg.qr(np.column_stack([p.a, p.b]), mode="reduced")[0]
     eps = measure_distortion(s, basis).epsilon
     norm_a, norm_x = np.linalg.norm(p.a, 2), np.linalg.norm(t.x)

@@ -12,9 +12,9 @@ from scipy.special import lambertw
 from itsketch import SolverConfig, embed, gen_sparse, iterative_sketching, sketch_and_precondition
 from itsketch.embed import (
     COLUMN_BLOCK,
+    SparseSignEmbedding,
     choose_dim,
     measure_distortion,
-    sparse_sign_new,
 )
 from itsketch.linalg import svd_values
 from itsketch.problems import _distinct_rows
@@ -61,7 +61,7 @@ class _DenseGaussian:
 
 class TestSparseSignNew:
     def test_zeta_equals_d_forces_all_rows(self):
-        s = sparse_sign_new(d=4, m=3, zeta=4, rng_seed=0)
+        s = SparseSignEmbedding(d=4, m=3, zeta=4, rng_seed=0)
         dense = densify(s)
         assert np.all(np.abs(dense) == 0.5)
         rows, _ = rows_and_signs(s)
@@ -69,12 +69,12 @@ class TestSparseSignNew:
             assert sorted(rows[j]) == [0, 1, 2, 3]
 
     def test_column_norms_unit(self):
-        s = sparse_sign_new(d=30, m=50, zeta=5, rng_seed=1)
+        s = SparseSignEmbedding(d=30, m=50, zeta=5, rng_seed=1)
         norms = np.linalg.norm(densify(s), axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=2 * 2.0**-53)
 
     def test_structure_invariants(self):
-        s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
+        s = SparseSignEmbedding(d=25, m=40, zeta=6, rng_seed=2)
         rows, signs = rows_and_signs(s)
         assert rows.shape == signs.shape == (40, 6)
         for j in range(40):
@@ -85,7 +85,7 @@ class TestSparseSignNew:
     @pytest.mark.parametrize("d,zeta", [(1003, 8), (3000, 8), (25, 6), (10, 9), (7, 7)])
     def test_one_row_in_each_block(self, d, zeta):
         # blocks of floor(d/zeta) and ceil(d/zeta) rows, starting at (k*d)//zeta
-        s = sparse_sign_new(d, 300, zeta, 4)
+        s = SparseSignEmbedding(d, 300, zeta, 4)
         rows, _ = rows_and_signs(s)
         starts = (np.arange(zeta + 1) * d) // zeta
         assert set(np.diff(starts)) <= {d // zeta, -(-d // zeta)}
@@ -94,11 +94,11 @@ class TestSparseSignNew:
 
     def test_zeta_larger_than_d_rejected(self):
         with pytest.raises(ValueError):
-            sparse_sign_new(d=3, m=5, zeta=4, rng_seed=0)
+            SparseSignEmbedding(d=3, m=5, zeta=4, rng_seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            sparse_sign_new(d=10, m=5, zeta=4, rng_seed=-1)
+            SparseSignEmbedding(d=10, m=5, zeta=4, rng_seed=-1)
 
     @pytest.mark.parametrize("name, value", [
         ("d", 20.0), ("m", 200.0), ("zeta", 4.0), ("rng_seed", 1.5), ("zeta", True), ("rng_seed", False),
@@ -106,11 +106,38 @@ class TestSparseSignNew:
     def test_non_integer_argument_rejected(self, name, value):
         args = {"d": 20, "m": 200, "zeta": 4, "rng_seed": 0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
-            sparse_sign_new(**args)
+            SparseSignEmbedding(**args)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("d", 20.0, "d must be an integer, got 20.0"), ("m", 200.0, "m must be an integer, got 200.0"),
+        ("zeta", True, "zeta must be an integer, got True"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
+        ("d", 0, "d and m must be >= 1"), ("m", 0, "d and m must be >= 1"),
+        ("d", 3, "need 1 <= zeta <= d, got zeta=4, d=3"), ("zeta", 0, "need 1 <= zeta <= d, got zeta=0, d=20"),
+        ("zeta", 21, "need 1 <= zeta <= d, got zeta=21, d=20"), ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
+    ])
+    def test_bad_count_refused_where_built(self, name, value, message):
+        # by the constructor and by dataclasses.replace alike, before
+        # anything is drawn
+        args = {"d": 20, "m": 200, "zeta": 4, "rng_seed": 0}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SparseSignEmbedding(**{**args, name: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(SparseSignEmbedding(**args), **{name: value})
+
+    def test_scale_derived_from_zeta(self):
+        # every entry is +-1/sqrt(zeta); scale is neither set nor settable
+        for zeta in (1, 2, 3, 6, 8):
+            s = SparseSignEmbedding(10, 20, zeta, 0)
+            assert s.scale == 1.0 / math.sqrt(s.zeta)
+        with pytest.raises(TypeError):
+            SparseSignEmbedding(d=10, m=20, zeta=2, scale=3.0, rng_seed=0)
+        with pytest.raises(AttributeError):
+            s.scale = 3.0
 
     def test_deterministic(self):
-        s1 = sparse_sign_new(20, 30, 4, rng_seed=7)
-        s2 = sparse_sign_new(20, 30, 4, rng_seed=7)
+        s1 = SparseSignEmbedding(20, 30, 4, rng_seed=7)
+        s2 = SparseSignEmbedding(20, 30, 4, rng_seed=7)
         (rows1, signs1), (rows2, signs2) = rows_and_signs(s1), rows_and_signs(s2)
         assert np.array_equal(rows1, rows2) and np.array_equal(signs1, signs2)
 
@@ -125,7 +152,7 @@ class TestSparseSignNew:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_holds_no_array(self):
-        s = sparse_sign_new(d=25, m=40, zeta=6, rng_seed=2)
+        s = SparseSignEmbedding(d=25, m=40, zeta=6, rng_seed=2)
         assert not any(isinstance(v, np.ndarray) or sp.issparse(v) for v in vars(s).values())
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.rng_seed = 3
@@ -136,7 +163,7 @@ class TestSparseSignNew:
          (400, 20000, 8, 5)],
     )
     def test_matches_reference_construction(self, d, m, zeta, seed):
-        s = sparse_sign_new(d, m, zeta, seed)
+        s = SparseSignEmbedding(d, m, zeta, seed)
         ref = osnap_sparse_sign(d, m, zeta, seed, COLUMN_BLOCK)
         assert np.array_equal(densify(s), ref)
         if m <= 400:
@@ -145,16 +172,16 @@ class TestSparseSignNew:
     def test_prefix_property(self):
         # the first m columns of S do not depend on m, across column blocks
         m_long = 3 * COLUMN_BLOCK + 100
-        long = densify(sparse_sign_new(40, m_long, 8, 9))
+        long = densify(SparseSignEmbedding(40, m_long, 8, 9))
         for m in (1, COLUMN_BLOCK - 1, COLUMN_BLOCK, COLUMN_BLOCK + 1, 2 * COLUMN_BLOCK + 5):
-            assert np.array_equal(densify(sparse_sign_new(40, m, 8, 9)), long[:, :m])
+            assert np.array_equal(densify(SparseSignEmbedding(40, m, 8, 9)), long[:, :m])
 
     def test_monte_carlo_isotropy(self):
         # Entrywise average of S'S over 500 seeds approximates the identity.
         d, m, zeta = 40, 200, 8
         acc = np.zeros((m, m))
         for seed in range(500):
-            dense = densify(sparse_sign_new(d, m, zeta, seed))
+            dense = densify(SparseSignEmbedding(d, m, zeta, seed))
             acc += dense.T @ dense
         acc /= 500
         assert np.max(np.abs(acc - np.eye(m))) <= 0.1
@@ -186,29 +213,29 @@ class TestStreamedPeakMemory:
 
 class TestApply:
     def test_apply_dense_zero(self):
-        s = sparse_sign_new(10, 20, 3, 0)
+        s = SparseSignEmbedding(10, 20, 3, 0)
         assert np.all(s.apply(np.zeros((20, 4))) == 0)
 
     def test_apply_dense_basis_column(self):
-        s = sparse_sign_new(30, 50, 3, 1)
+        s = SparseSignEmbedding(30, 50, 3, 1)
         e3 = np.zeros((50, 1))
         e3[3, 0] = 1.0
         np.testing.assert_array_equal(s.apply(e3)[:, 0], densify(s)[:, 3])
 
     def test_apply_dense_matches_materialized(self):
-        s = sparse_sign_new(30, 50, 3, 2)
+        s = SparseSignEmbedding(30, 50, 3, 2)
         a = np.random.default_rng(3).standard_normal((50, 5))
         np.testing.assert_allclose(s.apply(a), densify(s) @ a, atol=1e-15)
 
     def test_apply_vec(self):
-        s = sparse_sign_new(15, 25, 4, 4)
+        s = SparseSignEmbedding(15, 25, 4, 4)
         assert np.all(s.apply(np.zeros(25)) == 0)
         e7 = np.zeros(25)
         e7[7] = 1.0
         np.testing.assert_array_equal(s.apply(e7), densify(s)[:, 7])
 
     def test_apply_sparse_matches_densified(self):
-        s = sparse_sign_new(20, 40, 3, 5)
+        s = SparseSignEmbedding(20, 40, 3, 5)
         rng = np.random.default_rng(6)
         a = sp.random(40, 6, density=0.2, random_state=rng, format="csr")
         np.testing.assert_allclose(
@@ -225,7 +252,7 @@ class TestApply:
         rng = np.random.default_rng(7)
         a = sp.random(m, n, density=0.3, random_state=rng, format="csr")
         b = rng.standard_normal(m)
-        s = sparse_sign_new(64, m, 8, 11)
+        s = SparseSignEmbedding(64, m, 8, 11)
         dense_s = s.apply(np.eye(m)) if m <= COLUMN_BLOCK else osnap_sparse_sign(
             64, m, 8, 11, COLUMN_BLOCK)
         ref = dense_s @ np.column_stack([a.toarray(), b])
@@ -236,7 +263,7 @@ class TestApply:
     def test_sparse_path_equals_dense_path_on_gen_sparse(self):
         # +-1 entries and sums taken in the same column order: bitwise equal
         p = gen_sparse(3 * COLUMN_BLOCK + 7, 10, 2)
-        s = sparse_sign_new(1003, p.a.shape[0], 8, 3)
+        s = SparseSignEmbedding(1003, p.a.shape[0], 8, 3)
         assert np.array_equal(s.apply(p.a, p.b), s.apply(p.a.toarray(), p.b))
         assert np.array_equal(s.apply(p.a), s.apply(p.a.toarray()))
 
@@ -265,29 +292,38 @@ class TestApply:
         a[::7, 2] = -0.0
         b = rng.standard_normal(m)
         csr = sp.random(m, 6, density=0.3, random_state=rng, format="csr")
-        s = sparse_sign_new(101, m, zeta, 13)
+        s = SparseSignEmbedding(101, m, zeta, 13)
         for args in ((a,), (a, b), (np.asfortranarray(a), b), (csr,), (csr, b), (b,)):
             got, want = s.apply(*args), sparse_sign_apply(s, *args, column_block=COLUMN_BLOCK)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.f_contiguous
+        # a list is read as its array
+        assert s.apply(a.tolist(), b.tolist()).tobytes() == s.apply(a, b).tobytes()
 
     def test_dimension_mismatch(self):
-        s = sparse_sign_new(10, 20, 3, 0)
+        s = SparseSignEmbedding(10, 20, 3, 0)
         with pytest.raises(ValueError):
             s.apply(np.ones((21, 2)))
         with pytest.raises(ValueError):
             s.apply(np.ones((20, 2)), np.ones(21))
 
-    @pytest.mark.parametrize("args", [
-        (np.ones(20), np.ones(20)), (np.array(1.0),), (np.ones((20, 2, 2)),),
-    ], ids=["vector-with-b", "0-d", "3-d"])
-    def test_input_of_wrong_rank(self, args):
-        s = sparse_sign_new(10, 20, 3, 0)
-        with pytest.raises(ValueError, match=re.escape(f"got an input of shape {args[0].shape}")):
+    @pytest.mark.parametrize("args, message", [
+        ((np.ones(20), np.ones(20)), "got an input of shape (20,)"),
+        ((np.array(1.0),), "got an input of shape ()"),
+        ((np.ones((20, 2, 2)),), "got an input of shape (20, 2, 2)"),
+        (([1.0] * 20, [1.0] * 20), "got an input of shape (20,)"),
+        (([[[1.0] * 2] * 2] * 20,), "got an input of shape (20, 2, 2)"),
+        (([[1.0, 2.0]] * 19 + [[1.0]],), "inhomogeneous shape"),
+    ], ids=["vector-with-b", "0-d", "3-d", "vector-with-b-list", "3-d-list", "ragged-list"])
+    def test_input_of_wrong_rank(self, args, message):
+        # a list is read as its array and refused by that array's shape; a
+        # ragged one, which makes no array, by NumPy
+        s = SparseSignEmbedding(10, 20, 3, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
             s.apply(*args)
 
     def test_right_multiplication_associativity(self):
-        s = sparse_sign_new(25, 60, 4, 8)
+        s = SparseSignEmbedding(25, 60, 4, 8)
         rng = np.random.default_rng(9)
         a = rng.standard_normal((60, 5))
         c = rng.standard_normal((5, 3))
@@ -311,17 +347,17 @@ class TestMeasureDistortion:
         assert rep.epsilon >= 0.0
 
     def test_nonorthonormal_basis_rejected(self):
-        s = sparse_sign_new(10, 6, 3, 0)
+        s = SparseSignEmbedding(10, 6, 3, 0)
         with pytest.raises(ValueError):
             measure_distortion(s, np.ones((6, 2)))
 
     def test_vector_basis_rejected(self):
-        s = sparse_sign_new(10, 6, 3, 0)
+        s = SparseSignEmbedding(10, 6, 3, 0)
         with pytest.raises(ValueError, match=r"^basis_q must be an m x k matrix, got shape \(6,\)"):
             measure_distortion(s, np.ones(6) / math.sqrt(6))
 
     def test_epsilon_definition(self):
-        s = sparse_sign_new(50, 120, 8, 3)
+        s = SparseSignEmbedding(50, 120, 8, 3)
         q = householder_qr_econ(np.random.default_rng(4).standard_normal((120, 5))).q
         rep = measure_distortion(s, q)
         assert rep.epsilon == max(rep.sigma_max - 1.0, 1.0 - rep.sigma_min)
@@ -330,7 +366,7 @@ class TestMeasureDistortion:
     def test_basis_wider_than_sketch(self):
         # 7 rows of S leave a vector of an 8-dimensional span mapped to 0
         q = householder_qr_econ(np.random.default_rng(1).standard_normal((2000, 8))).q
-        rep = measure_distortion(sparse_sign_new(7, 2000, 7, 133), q)
+        rep = measure_distortion(SparseSignEmbedding(7, 2000, 7, 133), q)
         assert rep.sigma_min == 0.0
         assert rep.epsilon >= 1.0
 
@@ -342,7 +378,7 @@ class TestMeasureDistortion:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = householder_qr_econ(rng.standard_normal((m, k))).q
-            s = sparse_sign_new(d, m, 8, seed)
+            s = SparseSignEmbedding(d, m, 8, seed)
             hits += measure_distortion(s, q).epsilon < 0.29
         assert hits >= 95
 
@@ -351,7 +387,7 @@ class TestFact23Chain:
     def test_singular_value_bounds_through_sketch(self):
         m, n = 1000, 20
         a = np.random.default_rng(0).standard_normal((m, n))
-        s = sparse_sign_new(400, m, 8, 1)
+        s = SparseSignEmbedding(400, m, 8, 1)
         q = householder_qr_econ(a).q
         eps = measure_distortion(s, q).epsilon
         r = householder_qr_econ(s.apply(a)).r

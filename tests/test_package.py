@@ -34,7 +34,7 @@ def test_sparse_sign_embedding_fields():
     # S is drawn from its seed whenever it is applied; no array is stored,
     # and one method applies it
     assert [f.name for f in dataclasses.fields(SparseSignEmbedding)] == [
-        "d", "m", "zeta", "scale", "rng_seed",
+        "d", "m", "zeta", "rng_seed",
     ]
     assert not {"matrix", "rows", "signs", "apply_vec", "apply_dense", "apply_sparse"} & set(
         dir(SparseSignEmbedding))

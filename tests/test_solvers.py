@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from blas_threads import probe_outputs
 from peak import peak_bytes
-from itsketch.embed import measure_distortion, sparse_sign_new
+from itsketch.embed import SparseSignEmbedding, measure_distortion
 from itsketch.linalg import (
     SingularMatrixError,
     _norm2,
@@ -221,7 +221,7 @@ class TestStagnated:
     def test_sketch_within_basic_rate_hypothesis(self):
         p, cfg = self._sparse_problem()
         q = np.linalg.qr(p.a.toarray())[0]
-        s = sparse_sign_new(cfg.d, p.a.shape[0], cfg.zeta, cfg.rng_seed)
+        s = SparseSignEmbedding(cfg.d, p.a.shape[0], cfg.zeta, cfg.rng_seed)
         assert measure_distortion(s, q).epsilon < _EPS_BASIC_MAX
 
     def test_stops_at_the_level_of_a_full_run(self, monkeypatch):
@@ -278,13 +278,13 @@ class TestStagnated:
 class TestSketchAndSolve:
     def test_consistent_system(self):
         p = gen_randsvd(400, 15, 1e4, 0.0, 0)
-        s = sparse_sign_new(200, 400, 8, 0)
+        s = SparseSignEmbedding(200, 400, 8, 0)
         x0, _ = sketch_and_solve(p.a, p.b, s)
         assert np.linalg.norm(p.b - p.a @ x0) <= 1e-12 * np.linalg.norm(p.b)
 
     def test_quality_bounds_with_measured_distortion(self):
         p = gen_randsvd(1000, 20, 1e4, 1e-2, 1)
-        s = sparse_sign_new(500, 1000, 8, 1)
+        s = SparseSignEmbedding(500, 1000, 8, 1)
         q = np.linalg.qr(p.a, mode="reduced")[0]
         eps = measure_distortion(s, q).epsilon
         x0, _ = sketch_and_solve(p.a, p.b, s)
@@ -300,12 +300,12 @@ class TestSketchAndSolve:
         # OpenBLAS thread: no BLAS thread count reaches x0 or R
         probe = (
             "import hashlib, numpy as np\n"
-            "from itsketch.embed import COLUMN_BLOCK, sparse_sign_new\n"
+            "from itsketch.embed import COLUMN_BLOCK, SparseSignEmbedding\n"
             "from itsketch.solvers import sketch_and_solve\n"
             "m = 2 * COLUMN_BLOCK + 100\n"
             "rng = np.random.default_rng(0)\n"
             "a, b = rng.standard_normal((m, 130)), rng.standard_normal(m)\n"
-            "x, r = sketch_and_solve(a, b, sparse_sign_new(3000, m, 8, 1))\n"
+            "x, r = sketch_and_solve(a, b, SparseSignEmbedding(3000, m, 8, 1))\n"
             "print(hashlib.sha256(x.tobytes() + r.tobytes()).hexdigest())\n"
         )
         outs = probe_outputs(probe)
@@ -335,7 +335,7 @@ class TestIterativeSketching:
         p = gen_randsvd(1000, 20, 10.0, 1e-3, 1)
         cfg = SolverConfig(d=400, variant="basic", max_iters=9, rng_seed=1)
         res = iterative_sketching(p.a, p.b, cfg, p.truth)
-        s = sparse_sign_new(400, 1000, 8, 1)
+        s = SparseSignEmbedding(400, 1000, 8, 1)
         q = np.linalg.qr(p.a, mode="reduced")[0]
         eps = measure_distortion(s, q).epsilon
         g = rate_g_is(eps)
@@ -346,7 +346,7 @@ class TestIterativeSketching:
     def test_theorem_bound_surrogate(self):
         p = gen_randsvd(1000, 20, 100.0, 1e-3, 2)
         cfg = SolverConfig(d=400, variant="basic", max_iters=8, rng_seed=2)
-        s = sparse_sign_new(400, 1000, 8, 2)
+        s = SparseSignEmbedding(400, 1000, 8, 2)
         q = np.linalg.qr(p.a, mode="reduced")[0]
         eps = measure_distortion(s, q).epsilon
         assert eps < 0.29
@@ -361,7 +361,7 @@ class TestIterativeSketching:
         p = gen_randsvd(500, 12, 1e4, 1e-3, 3)
         cfg = SolverConfig(d=240, variant="basic", max_iters=6, rng_seed=3)
         res = iterative_sketching(p.a, p.b, cfg, p.truth)
-        s = sparse_sign_new(cfg.d, 500, cfg.zeta, cfg.rng_seed)
+        s = SparseSignEmbedding(cfg.d, 500, cfg.zeta, cfg.rng_seed)
         r_fac = sketch_and_solve(p.a, p.b, s)[1]
         tr = res.trace
         for i in range(len(tr.iterates) - 1):
@@ -431,7 +431,7 @@ class TestIterativeSketching:
             "sp": lambda: sketch_and_precondition(p.a, p.b, cfg),
             "bad_residual": lambda: bad_variant(p.a, p.b, cfg, "bad_residual"),
         }[solve]()
-        r_fac = sketch_and_solve(p.a, p.b, sparse_sign_new(300, 600, 8, 5))[1]
+        r_fac = sketch_and_solve(p.a, p.b, SparseSignEmbedding(300, 600, 8, 5))[1]
         sv = svd_values(r_fac)
         assert res.trace.normest == sv[0]
         assert res.trace.condest == sv[0] / sv[-1]
@@ -450,11 +450,20 @@ class TestIterativeSketching:
             solve(np.ones((200, 0)), np.ones(200), SolverConfig(d=10, variant="basic"))
 
     @pytest.mark.parametrize("variant", ["damped", "momentum"])
-    def test_eps_parameters_need_d_above_n(self, variant):
-        # their parameters take eps = sqrt(n/d), which d = n puts at 1
+    def test_eps_parameters_need_d_above_n(self, variant, monkeypatch):
+        # their parameters take eps = sqrt(n/d), which d = n puts at 1; the
+        # solve is refused before anything is sketched
+        def sketch(*args):
+            raise AssertionError("sketched a solve that d = n refuses")
+
+        monkeypatch.setattr(SparseSignEmbedding, "apply", sketch)
         p = gen_randsvd(100, 10, 10.0, 0.1, 0)
+        cfg = SolverConfig(d=10, variant=variant)
+        for kind in ("bad_matrix", "bad_residual", "bad_init"):
+            with pytest.raises(ValueError, match=r"needs d > n=10"):
+                bad_variant(p.a, p.b, cfg, kind)
         with pytest.raises(ValueError, match=r"needs d > n=10"):
-            iterative_sketching(p.a, p.b, SolverConfig(d=10, variant=variant))
+            iterative_sketching(p.a, p.b, cfg)
 
     def test_sketch_and_precondition_takes_d_equal_to_n(self):
         # SP reads no variant and takes no step from eps, so the default
@@ -485,7 +494,7 @@ class TestLsqr:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((200, 20))
         b = rng.standard_normal(200)
-        s = sparse_sign_new(100, 200, 8, 2)
+        s = SparseSignEmbedding(100, 200, 8, 2)
         r_fac = householder_qr_econ(s.apply(a)).r
         x, _ = lsqr(a, b, np.zeros(20), r_fac, max_iters=100)
         x_ref = qr_solve(a, b)
@@ -987,8 +996,9 @@ def test_non_integer_config_field_rejected(solve, name, value):
 def _entry_inputs(draw):
     """(A, b, cfg, refusals): A of at most 300 x 8 in one of five dtypes, and
     cfg's integer fields as ints or NumPy ints, but for at most one drawn as
-    a float, integral or not; refusals holds the start of each message that
-    may refuse the solve."""
+    a float, integral or not; A and b as arrays, as nested lists, or with A a
+    ragged list; refusals holds the start of each message that may refuse the
+    solve."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(n, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1006,7 +1016,14 @@ def _entry_inputs(draw):
     refusals = [] if as_float is None else [f"{as_float} must be an integer"]
     if dtype == "complex128":
         refusals.append("A must be real")
-    return a, rng.standard_normal(m), SolverConfig(**fields), refusals
+    b = rng.standard_normal(m)
+    form = draw(st.sampled_from(["array", "array", "list", "ragged"]))
+    if form != "array":
+        a, b = a.tolist(), b.tolist()
+    if form == "ragged":
+        a.append(a[-1] + [a[-1][0]])  # a row one entry longer than the rest
+        refusals = ["setting an array element with a sequence"]
+    return a, b, SolverConfig(**fields), refusals
 
 
 _REASONS = {
@@ -1020,7 +1037,8 @@ _REASONS = {
 def test_entry_input_handling(inputs, solve):
     # whatever the fields' types and A's dtype: a finite solution with a
     # documented reason, or a ValueError; a non-integer field or a complex A
-    # is always refused, by name
+    # is always refused, by name, and a ragged A by NumPy; lists give the
+    # bits of their arrays
     a, b, cfg, refusals = inputs
     try:
         res = solve(a, b, cfg)
@@ -1030,6 +1048,8 @@ def test_entry_input_handling(inputs, solve):
     assert not refusals
     assert np.isfinite(res.solution).all()
     assert res.trace.stop_reason in _REASONS[solve]
+    if isinstance(a, list):
+        assert res.solution.tobytes() == solve(np.array(a), np.array(b), cfg).solution.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
@@ -1072,7 +1092,7 @@ def test_caller_arrays_never_written(dense):
     held = a if dense else a.data
     a_bytes, b_bytes = held.tobytes(), b.tobytes()
     cfg = SolverConfig(d=120, variant="momentum", max_iters=10, rng_seed=2)
-    s = sparse_sign_new(120, a.shape[0], 8, 2)
+    s = SparseSignEmbedding(120, a.shape[0], 8, 2)
     calls = [
         partial(iterative_sketching, a, b, cfg, p.truth),
         partial(sketch_and_precondition, a, b, cfg, p.truth),
@@ -1087,7 +1107,7 @@ def test_caller_arrays_never_written(dense):
 
 def test_sketch_and_solve_names_b():
     p = gen_randsvd(300, 6, 10.0, 1e-3, 0)
-    s = sparse_sign_new(60, 300, 8, 0)
+    s = SparseSignEmbedding(60, 300, 8, 0)
     with pytest.raises(ValueError, match=r"^b must be a vector of length m=300"):
         sketch_and_solve(p.a, p.b[:-1], s)
     with pytest.raises(ValueError, match=r"^b must be finite"):
