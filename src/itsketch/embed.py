@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import lambertw
 
-from .linalg import svd_values
+from .linalg import _check_real, svd_values
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,14 @@ class SparseSignEmbedding:
         sparse format is first copied whole to CSR (a solve on a 2e5 x 100
         gen_sparse A at d = 3000 peaks at 11.29 MiB as CSC or COO, 3.66 MiB
         as CSR). No product with A or A' is formed. A dense a or a b given as
-        a list is read as its array. Each column block of S is multiplied with
+        a list is read as its array; a complex one is refused, not cast to
+        its real part. Each column block of S is multiplied with
         the same rows of A as a sum from zero, in S's column order, and the
         blocks' products are added to the result one after another; past
         COLUMN_BLOCK columns that order differs in rounding from one product
         of all of S with A."""
+        _check_real("A", a)
+        _check_real("b", b)
         sparse = sp.issparse(a)
         a = a.tocsr() if sparse else np.asarray(a, dtype=float)
         if b is not None:
@@ -210,7 +213,9 @@ class SparseSignEmbedding:
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:
     """Distortion of an embedding on the subspace spanned by the columns of
     basis_q, which must be orthonormal. A basis of more columns k than S has
-    rows d has a vector in its span that S maps to 0, so sigma_min is 0."""
+    rows d has a vector in its span that S maps to 0, so sigma_min is 0. A
+    complex basis is refused, not cast to its real part."""
+    _check_real("basis_q", basis_q)
     basis_q = np.asarray(basis_q, dtype=float)
     if basis_q.ndim != 2:
         raise ValueError(f"basis_q must be an m x k matrix, got shape {basis_q.shape}")

@@ -114,10 +114,16 @@ def _lapack(fn, *args) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} returned info={info}")
 
 
+def _check_real(name: str, v) -> None:
+    """ValueError naming v if it is complex, before a cast to float would
+    drop its imaginary part."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, not complex")
+
+
 def _as_rhs(a, b) -> np.ndarray:
-    for name, v in (("A", a), ("b", b)):
-        if np.iscomplexobj(v):
-            raise ValueError(f"{name} must be real, not complex")
+    _check_real("A", a)
+    _check_real("b", b)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")

@@ -19,6 +19,7 @@ from .embed import SparseSignEmbedding, _check_integer
 from .linalg import (
     SingularMatrixError,
     _as_rhs,
+    _check_real,
     _norm2,
     _qr_solve_in_place,
     svd_values,
@@ -268,13 +269,22 @@ def sketch_and_solve(
     the QR overwrites the sketch where it was built. A wrong-length b or a
     non-finite A or b raises ValueError; a singular R, SingularMatrixError.
     """
+    a = _as_float(a)
     return _qr_solve_in_place(_sketch(a, _as_rhs(a, b), s).T)
 
 
+def _as_float(a):
+    """A as float64, after a complex A is refused: a dense A (or a list) by
+    np.asanyarray (a subclass kept), a sparse one by astype. A float64 A is
+    not copied; any other is converted once, not cast again by every product."""
+    _check_real("A", a)
+    return a.astype(float, copy=False) if sp.issparse(a) else np.asanyarray(a, dtype=float)
+
+
 def _as_problem(a, b, cfg: SolverConfig) -> tuple:
-    """A as an array (a subclass kept) unless sparse, and b as _as_rhs gives
-    it, after cfg is validated against A's shape."""
-    a = a if sp.issparse(a) else np.asanyarray(a)
+    """A as _as_float gives it and b as _as_rhs gives it, after cfg is
+    validated against A's shape."""
+    a = _as_float(a)
     b = _as_rhs(a, b)
     m, n = a.shape
     cfg.validate(n)
@@ -461,35 +471,18 @@ def bad_variant(
     raise ValueError(f"unknown bad variant {kind!r}")
 
 
-def lsqr(
-    a,
-    b: np.ndarray,
-    x0: np.ndarray,
-    precond_r: np.ndarray,
-    max_iters: int,
-    rtol: float = 1e-14,
-    callback=None,
-) -> tuple[np.ndarray, int]:
-    """Golub-Kahan-bidiagonalization LSQR on min ||(b - A x0) - (A R^-1) z||,
-    returning x = x0 + R^-1 z and the iteration count.
-
-    The preconditioner is applied through triangular solves; R^-1 is never
-    formed. Stops at max_iters, when the normal-equation residual estimate
-    ||Op' r|| / (||Op|| ||r||) falls to rtol, or after the step whose
-    callback returns True. callback(z, change, resnorm) runs once per
-    iteration k with resnorm = phibar_k, the recurrence's ||r_k||, and
-    change = |phi_k|, which is ||r_k - r_{k-1}|| in exact arithmetic: r_k is
-    orthogonal to Op K_k, so ||r_{k-1}||^2 = ||r_k||^2 + ||r_k - r_{k-1}||^2,
-    and with phibar_k = s_k phibar_{k-1} that gives |c_k| phibar_{k-1}.
-    No residual is formed for either; in floating point |phi_k| keeps
-    falling where a formed b - Ax levels off at its rounding error.
-    """
-    precond_r = np.asarray(precond_r, dtype=float)
-    if np.any(np.diag(precond_r) == 0.0):
-        raise SingularMatrixError("singular preconditioner")
-    b = np.asarray(b, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    n = precond_r.shape[0]
+def _lsqr_steps(a, b: np.ndarray, x0: np.ndarray, precond_r: np.ndarray, max_iters: int,
+                rtol: float):
+    """LSQR (Paige & Saunders) on min ||(b - A x0) - (A R^-1) z||, R^-1 applied
+    by triangular solves: after each step k, (z_k, |phi_k|, phibar_k). Ends
+    after max_iters steps, at a zero b - A x0 or Op'u, or at the step where
+    ||Op'r|| / (||Op|| ||r||) falls to rtol; b - A x0, its range check and the
+    first Op'u come before the first step, at max_iters = 0 too. phibar_k is
+    the recurrence's ||r_k||, and |phi_k| = |c_k| phibar_{k-1} is
+    ||r_k - r_{k-1}|| in exact arithmetic: r_k is orthogonal to Op K_k, so
+    ||r_{k-1}||^2 = ||r_k||^2 + ||r_k - r_{k-1}||^2. Neither forms a residual;
+    in floating point |phi_k| keeps falling where a formed b - Ax levels off
+    at its rounding error."""
 
     def op(v: np.ndarray) -> np.ndarray:
         return a @ tri_solve_upper(precond_r, v)
@@ -501,19 +494,18 @@ def lsqr(
     u = _residual(a, b, x0)
     beta = _norm(u)
     _check_range(1.0, beta)  # Op' only meets unit vectors
-    z = np.zeros(n)
     if beta == 0.0:
-        return x0.copy(), 0
+        return
     u /= beta
     v = op_t(u)
     alpha = _norm(v)
     if alpha == 0.0:
-        return x0.copy(), 0
+        return
     v = v / alpha
     w = v.copy()
+    z = np.zeros(precond_r.shape[0])
     phibar, rhobar = beta, alpha
     anorm2 = alpha**2
-    iters = 0
     for _ in range(max_iters):
         u *= -alpha  # with the next line, op(v) - alpha * u, bit for bit
         u += op(v)
@@ -533,13 +525,35 @@ def lsqr(
         phibar = sn * phibar
         z = z + (phi / rho) * w
         w = v - (theta / rho) * w
-        iters += 1
-        if callback is not None and callback(z, abs(phi), phibar):
-            break
+        yield z, abs(phi), phibar
         # ||Op' r|| = phibar * alpha * |c|; relative to ||Op|| ||r||
         normar = phibar * alpha * abs(c)
         if phibar == 0.0 or normar <= rtol * math.sqrt(anorm2) * phibar:
-            break
+            return
+
+
+def lsqr(
+    a,
+    b: np.ndarray,
+    x0: np.ndarray,
+    precond_r: np.ndarray,
+    max_iters: int,
+    rtol: float = 1e-14,
+) -> tuple[np.ndarray, int]:
+    """LSQR from x0, right-preconditioned by R = precond_r (see _lsqr_steps):
+    (x0 + R^-1 z, the steps taken). A max_iters that is not an integer >= 0
+    raises ValueError, and a zero on R's diagonal SingularMatrixError."""
+    _check_integer("max_iters", max_iters)
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    precond_r = np.asarray(precond_r, dtype=float)
+    if np.any(np.diag(precond_r) == 0.0):
+        raise SingularMatrixError("singular preconditioner")
+    b = np.asarray(b, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    z, iters = np.zeros(precond_r.shape[0]), 0
+    for z, _, _ in _lsqr_steps(a, b, x0, precond_r, max_iters, rtol):
+        iters += 1
     return x0 + tri_solve_upper(precond_r, z), iters
 
 
@@ -550,7 +564,7 @@ def sketch_and_precondition(
     by the R factor, starting from the sketch-and-solve or zero iterate.
 
     Each LSQR step is recorded by _step, as _run_refinement's are: its
-    residual change is LSQR's own |phi_k| (see lsqr) and its ||r_k|| LSQR's
+    residual change is LSQR's own |phi_k| (see _lsqr_steps) and its ||r_k|| LSQR's
     phibar_k, and the solve stops as stopped_by_rule at the first step that
     meets the residual-change rule. LSQR's own tolerance and max_iters are
     the other two stops. b - Ax is formed only for the errors against truth,
@@ -560,14 +574,11 @@ def sketch_and_precondition(
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     _record(trace, a, b, x0, None, truth)
-
-    def on_iterate(z: np.ndarray, change: float, resnorm: float) -> bool:
-        fired = _step(trace, a, b, x0 + tri_solve_upper(r_fac, z), change, resnorm, None, truth)
-        if fired:
+    for z, change, resnorm in _lsqr_steps(a, b, x0, r_fac, cfg.max_iters, U):
+        if _step(trace, a, b, x0 + tri_solve_upper(r_fac, z), change, resnorm, None, truth):
             trace.stop_reason = "stopped_by_rule"
-        return fired
-
-    _, iters = lsqr(a, b, x0, r_fac, max_iters=cfg.max_iters, rtol=U, callback=on_iterate)
-    if trace.stop_reason == "max_iters" and iters < cfg.max_iters:
-        trace.stop_reason = "lsqr_tolerance"
+            break
+    else:
+        if len(trace.residual_changes) < cfg.max_iters:
+            trace.stop_reason = "lsqr_tolerance"
     return SolveResult(solution=trace.iterates[-1], trace=trace, config=cfg)

@@ -322,6 +322,19 @@ class TestApply:
         with pytest.raises(ValueError, match=re.escape(message)):
             s.apply(*args)
 
+    @pytest.mark.parametrize("args, name", [
+        ((np.ones((20, 2)) * (1 + 1j),), "A"),
+        ((sp.csr_matrix(np.ones((20, 2)) * (1 + 1j)),), "A"),
+        ((np.ones(20) * 1j,), "A"),
+        ((np.ones((20, 2)), np.ones(20) * (1 + 1j)), "b"),
+        ((np.ones((20, 2)).tolist(), (np.ones(20) * 1j).tolist()), "b"),
+    ], ids=["dense", "csr", "vector", "b", "b-list"])
+    def test_complex_input_refused(self, args, name):
+        # a cast to float would sketch the real part alone
+        s = SparseSignEmbedding(10, 20, 3, 0)
+        with pytest.raises(ValueError, match=f"^{name} must be real, not complex"):
+            s.apply(*args)
+
     def test_right_multiplication_associativity(self):
         s = SparseSignEmbedding(25, 60, 4, 8)
         rng = np.random.default_rng(9)
@@ -355,6 +368,12 @@ class TestMeasureDistortion:
         s = SparseSignEmbedding(10, 6, 3, 0)
         with pytest.raises(ValueError, match=r"^basis_q must be an m x k matrix, got shape \(6,\)"):
             measure_distortion(s, np.ones(6) / math.sqrt(6))
+
+    def test_complex_basis_rejected(self):
+        # the real part of this basis is orthonormal, and would be measured
+        s = SparseSignEmbedding(10, 6, 3, 0)
+        with pytest.raises(ValueError, match=r"^basis_q must be real, not complex"):
+            measure_distortion(s, np.eye(6)[:, :2] * (1 + 1j))
 
     def test_epsilon_definition(self):
         s = SparseSignEmbedding(50, 120, 8, 3)

@@ -46,6 +46,7 @@ from itsketch.solvers import (
     theoretical_bound_curve,
     _EPS_BASIC_MAX,
     _diverged,
+    _lsqr_steps,
     _sketch_factor,
     _stagnated,
     _stop_threshold,
@@ -504,12 +505,9 @@ class TestLsqr:
         p = gen_randsvd(500, 20, 1e6, 1e-2, 3)
         qr = householder_qr_econ(p.a)
         errs = []
-
-        def cb(z, change, resnorm):
+        for z, _, _ in _lsqr_steps(p.a, p.b, np.zeros(20), qr.r, 3, 1e-14):
             xk = np.zeros(20) + tri_solve_upper(qr.r, z)
             errs.append(np.linalg.norm((p.b - p.a @ xk) - p.truth.r))
-
-        lsqr(p.a, p.b, np.zeros(20), qr.r, max_iters=3, callback=cb)
         start = np.linalg.norm((p.b - p.a @ np.zeros(20)) - p.truth.r)
         assert errs[-1] <= 1e-6 * start
 
@@ -520,6 +518,25 @@ class TestLsqr:
     def test_zero_rhs(self):
         x, iters = lsqr(np.eye(4), np.zeros(4), np.zeros(4), np.eye(4), 5)
         assert iters == 0 and np.array_equal(x, np.zeros(4))
+
+    @pytest.mark.parametrize("max_iters, message", [
+        (-1, "max_iters must be >= 0"), (2.5, "max_iters must be an integer"),
+        (True, "max_iters must be an integer"),
+    ])
+    def test_max_iters_checked(self, max_iters, message):
+        # as SolverConfig.validate checks it
+        with pytest.raises(ValueError, match=f"^{message}"):
+            lsqr(np.eye(4), np.ones(4), np.zeros(4), np.eye(4), max_iters)
+
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_scaled_input_refused_at_every_budget(self, max_iters):
+        # ||b - Ax0|| overflows on the way to the range check, which comes
+        # before the first step
+        p = gen_randsvd(2000, 20, 1e2, 1e-3, 0)
+        r_fac = householder_qr_econ(p.a).r
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="too large to iterate on"):
+                lsqr(p.a * 1e160, p.b * 1e160, np.zeros(20), r_fac, max_iters)
 
 
 class TestSketchAndPrecondition:
@@ -633,6 +650,22 @@ class TestSketchAndPrecondition:
             assert res.iterations > 0
             assert a.products[0] == per_step * (1 + res.iterations)
 
+    @pytest.mark.parametrize("max_iters", [100, 5])
+    def test_two_triangular_solves_per_step(self, monkeypatch, max_iters):
+        # one in Op v and one forming the traced iterate; the solution is
+        # that iterate, so no solve is made after the last step
+        p = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
+        calls = []
+
+        def counted(r, c):
+            calls.append(1)
+            return tri_solve_upper(r, c)
+
+        monkeypatch.setattr(itsketch.solvers, "tri_solve_upper", counted)
+        res = sketch_and_precondition(p.a, p.b, SolverConfig(d=1000, max_iters=max_iters))
+        assert res.iterations > 0
+        assert len(calls) == 2 * res.iterations
+
     @pytest.mark.parametrize("dense", [True, False])
     def test_truth_changes_only_the_errors(self, dense):
         p, truth = self._problem(dense)
@@ -679,9 +712,7 @@ class TestSketchAndPrecondition:
         # error, over a run to LSQR's own tolerance from the solve's x0 and R
         p, cfg = self._lsqr_problem(dense)
         x0, r_fac, normest, _ = _sketch_factor(p.a, p.b, cfg)
-        steps = []
-        lsqr(p.a, p.b, x0, r_fac, cfg.max_iters, rtol=U,
-             callback=lambda z, change, resnorm: steps.append((z, resnorm)))
+        steps = [(z, resnorm) for z, _, resnorm in _lsqr_steps(p.a, p.b, x0, r_fac, cfg.max_iters, U)]
         norm_b = np.linalg.norm(p.b)
         compared = 0
         for z, resnorm in steps:
@@ -1037,8 +1068,8 @@ _REASONS = {
 def test_entry_input_handling(inputs, solve):
     # whatever the fields' types and A's dtype: a finite solution with a
     # documented reason, or a ValueError; a non-integer field or a complex A
-    # is always refused, by name, and a ragged A by NumPy; lists give the
-    # bits of their arrays
+    # is always refused, by name, and a ragged A by NumPy; lists and any
+    # other real dtype give the bits of their float64 arrays
     a, b, cfg, refusals = inputs
     try:
         res = solve(a, b, cfg)
@@ -1048,8 +1079,9 @@ def test_entry_input_handling(inputs, solve):
     assert not refusals
     assert np.isfinite(res.solution).all()
     assert res.trace.stop_reason in _REASONS[solve]
-    if isinstance(a, list):
-        assert res.solution.tobytes() == solve(np.array(a), np.array(b), cfg).solution.tobytes()
+    if isinstance(a, list) or a.dtype != np.float64:
+        as_float = solve(np.array(a, dtype=float), np.array(b, dtype=float), cfg)
+        assert res.solution.tobytes() == as_float.solution.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
@@ -1112,6 +1144,9 @@ def test_sketch_and_solve_names_b():
         sketch_and_solve(p.a, p.b[:-1], s)
     with pytest.raises(ValueError, match=r"^b must be finite"):
         sketch_and_solve(p.a, np.full(300, np.nan), s)
+    # a nested-list A is read as its array
+    for got, want in zip(sketch_and_solve(p.a.tolist(), p.b, s), sketch_and_solve(p.a, p.b, s)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
@@ -1120,10 +1155,13 @@ def test_scaled_input_rejected_before_iterating_or_solved(solve):
     # refused before its first step; at 1e155 both still reach a few u
     p = gen_randsvd(2000, 20, 1e2, 1e-3, 0)
     # at 1e160 LSQR's ||r0||, taken by squaring, overflows on the way to the
-    # range check; iterative sketching takes it by nrm2, which does not
+    # range check; iterative sketching takes it by nrm2, which does not.
+    # The check comes before the first step, so it refuses at every budget,
+    # max_iters = 0 included
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="too large to iterate on"):
-            solve(p.a * 1e160, p.b * 1e160, SolverConfig(d=400))
+        for max_iters in (50, 0):
+            with pytest.raises(ValueError, match="too large to iterate on"):
+                solve(p.a * 1e160, p.b * 1e160, SolverConfig(d=400, max_iters=max_iters))
     # ||b|| ~ 1e157 cannot be taken by squaring b, yet the stagnation floor
     # u(||b|| + normest ||x||) stays finite, with no overflow warning
     with warnings.catch_warnings():
