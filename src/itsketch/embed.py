@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import lambertw
 
-from .linalg import _check_real, svd_values
+from .linalg import _as_matrix, _as_vector, _read, svd_values
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,12 @@ COLUMN_BLOCK = 8192
 # re-reads A's column block: on a 1e5 x 100 A at d = 3000 (2-core Xeon,
 # 2 MiB L2) solves with groups of two of the eight row blocks ran 1-2%
 # slower than with this limit's three, and one group of all eight held a
-# 2.3 MiB product beside the 2.3 MiB sketch.
+# 2.3 MiB product beside the 2.3 MiB sketch. The limit trades time for
+# memory (same host; apply, solve and the solve's peak allocation): on the
+# bench's tall-dense, 2**17 gives 61.6 ms, 133 ms and 3.742 MiB, one row
+# block per group 68.6-70.0 ms, 137-143 ms and 2.99 MiB; on paper-dense,
+# 2**17 gives 0.99 ms, 3.13 ms and 1.156 MiB, 2**15 1.16 ms, 3.31 ms and
+# 0.997 MiB.
 GROUP_ENTRIES = 2**17
 
 
@@ -116,26 +121,19 @@ class SparseSignEmbedding:
         A is read through its rows and, if sparse, its CSR arrays; any other
         sparse format is first copied whole to CSR (a solve on a 2e5 x 100
         gen_sparse A at d = 3000 peaks at 11.29 MiB as CSC or COO, 3.66 MiB
-        as CSR). No product with A or A' is formed. A dense a or a b given as
-        a list is read as its array; a complex one is refused, not cast to
-        its real part. Each column block of S is multiplied with
-        the same rows of A as a sum from zero, in S's column order, and the
-        blocks' products are added to the result one after another; past
-        COLUMN_BLOCK columns that order differs in rounding from one product
-        of all of S with A."""
-        _check_real("A", a)
-        _check_real("b", b)
-        sparse = sp.issparse(a)
-        a = a.tocsr() if sparse else np.asarray(a, dtype=float)
-        if b is not None:
-            b = np.asarray(b, dtype=float)
-        if a.ndim not in (1, 2) or (b is not None and a.ndim != 2):
-            raise ValueError(f"S applies to an m x n matrix, or without b to a length-m vector;"
-                             f" got an input of shape {a.shape}")
+        as CSR). No product with A or A' is formed. A and b are read by
+        linalg._as_matrix and _as_vector (a vector a by _read). Each column
+        block of S is multiplied with the same rows of A as a sum from zero,
+        in S's column order, and the blocks' products are added to the
+        result one after another; past COLUMN_BLOCK columns that order
+        differs in rounding from one product of all of S with A."""
+        a = _read("A", a, sparse=True)
+        a = a if a.ndim == 1 and b is None else _as_matrix("A", a, sparse=True)
         if a.shape[0] != self.m:
-            raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, input has {a.shape[0]} rows")
-        if b is not None and b.shape != (self.m,):
-            raise ValueError(f"dimension mismatch: S is {self.d}x{self.m}, b has shape {b.shape}")
+            raise ValueError(f"A must have {self.m} rows, one per column of S, got shape {a.shape}")
+        b = None if b is None else _as_vector("b", b, self.m)
+        sparse = sp.issparse(a)
+        a = a.tocsr() if sparse else a
         width = a.shape[1:] if b is None else (a.shape[1] + 1,)
         out = np.zeros((self.d, *width), order="F")
         add_block = self._scatter_csr if sparse else self._add_dense
@@ -213,12 +211,9 @@ class SparseSignEmbedding:
 def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:
     """Distortion of an embedding on the subspace spanned by the columns of
     basis_q, which must be orthonormal. A basis of more columns k than S has
-    rows d has a vector in its span that S maps to 0, so sigma_min is 0. A
-    complex basis is refused, not cast to its real part."""
-    _check_real("basis_q", basis_q)
-    basis_q = np.asarray(basis_q, dtype=float)
-    if basis_q.ndim != 2:
-        raise ValueError(f"basis_q must be an m x k matrix, got shape {basis_q.shape}")
+    rows d has a vector in its span that S maps to 0, so sigma_min is 0.
+    basis_q is read by linalg._as_matrix."""
+    basis_q = _as_matrix("basis_q", basis_q)
     k = basis_q.shape[1]
     gram_err = np.linalg.norm(basis_q.T @ basis_q - np.eye(k))
     if gram_err > 1e-10:

@@ -4,7 +4,8 @@ and check only shapes and a zero diagonal. Every QR is _householder: NumPy's
 dgeqrf (and dorgqr for Q) in place on one column-major copy, or on the
 column-major sketch itself, with both OpenBLAS copies (NumPy's and SciPy's)
 held at one thread for qr_solve and for thin QRs of at most
-_THIN_QR_ONE_THREAD_MAX entries.
+_THIN_QR_ONE_THREAD_MAX entries. Every public entry of the package reads
+the arrays a caller passes it through _as_matrix and _as_vector.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.linalg.lapack
+import scipy.sparse as sp
 from numpy.linalg import lapack_lite
 
 
@@ -45,7 +47,9 @@ def _tri_solve(r: np.ndarray, c: np.ndarray, trans: int) -> np.ndarray:
 
 def tri_solve_upper(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve r @ y = c by back substitution (r upper triangular). Checks only
-    the shapes and r's diagonal; a NaN or inf in r or c propagates into y."""
+    the shapes and r's diagonal, not through _as_matrix: each solver step
+    makes two of these calls, on an R of its own. A NaN or inf in r or c
+    propagates into y."""
     return _tri_solve(r, c, 0)
 
 
@@ -114,20 +118,38 @@ def _lapack(fn, *args) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} returned info={info}")
 
 
-def _check_real(name: str, v) -> None:
-    """ValueError naming v if it is complex, before a cast to float would
-    drop its imaginary part."""
+def _read(name: str, v, sparse: bool = False):
+    """v as a float64 array, or a ValueError naming it. A complex v is refused
+    (a cast would keep its real part alone), a list is read as its array, any
+    other real dtype converted once, and a float64 ndarray or subclass returned
+    uncopied. A sparse v is taken, as float64 sparse, only where sparse is set."""
+    if sp.issparse(v) and not sparse:
+        raise ValueError(f"{name} must be a dense array, not sparse")
+    try:
+        v = v if sp.issparse(v) else np.asanyarray(v)
+    except ValueError as e:  # a ragged list
+        raise ValueError(f"{name} must be a numeric array: {e}") from None
     if np.iscomplexobj(v):
         raise ValueError(f"{name} must be real, not complex")
+    return v.astype(float, copy=False)
 
 
-def _as_rhs(a, b) -> np.ndarray:
-    _check_real("A", a)
-    _check_real("b", b)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"b must be a vector of length m={a.shape[0]}, got shape {b.shape}")
-    return b
+def _as_matrix(name: str, a, sparse: bool = False, tall: bool = False):
+    """_read's a, or a ValueError naming it unless a matrix (m >= n if tall)."""
+    a = _read(name, a, sparse)
+    if a.ndim != 2 or tall and a.shape[0] < a.shape[1]:
+        rule = " with m >= n" if tall else ""
+        raise ValueError(f"{name} must be a matrix{rule}, got shape {a.shape}")
+    return a
+
+
+def _as_vector(name: str, v, length: int | None = None) -> np.ndarray:
+    """_read's v, or a ValueError naming it unless a vector (of length, if given)."""
+    v = _read(name, v)
+    if v.ndim != 1 or length is not None and v.size != length:
+        of = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be a vector{of}, got shape {v.shape}")
+    return v
 
 
 def _householder(cols: np.ndarray, one_thread: bool, form_q: bool = False) -> np.ndarray:
@@ -150,12 +172,9 @@ def _householder(cols: np.ndarray, one_thread: bool, form_q: bool = False) -> np
 
 
 def _thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q (m x n, C-contiguous) and R of a tall m x n block, from one column-major
-    copy of a; on one OpenBLAS thread for at most _THIN_QR_ONE_THREAD_MAX entries."""
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"need m >= n, got {m} x {n}")
+    """Q (m x n, C-contiguous) and R of a tall m x n float64 block, from one
+    column-major copy of a; on one OpenBLAS thread for at most
+    _THIN_QR_ONE_THREAD_MAX entries. Its callers check a's shape on entry."""
     qr = np.array(a.T, order="C")  # a's columns, one after another
     r = _householder(qr, one_thread=a.size <= _THIN_QR_ONE_THREAD_MAX, form_q=True)
     return np.ascontiguousarray(qr.T), r
@@ -168,12 +187,9 @@ def qr_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on one OpenBLAS thread at any size: its leading n x n block is R, and the
     last column of those rows is Q'b. The copy is freed before the solve;
     _qr_solve_in_place factors a caller's column-major [a | b] with none."""
-    a = np.asarray(a)  # cast to float as it is copied into cols
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    (m, n), b = a.shape, _as_rhs(a, b)
-    if m < n:
-        raise ValueError(f"need m >= n, got {m} x {n}")
+    a = _as_matrix("A", a, tall=True)
+    m, n = a.shape
+    b = _as_vector("b", b, m)
     cols = np.empty((n + 1, m))
     cols[:n], cols[n] = a.T, b
     r_aug = _householder(cols, one_thread=True)
@@ -209,9 +225,6 @@ def _norm2(v: np.ndarray) -> float:
 
 
 def svd_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a, sorted descending."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    return np.linalg.svd(a, compute_uv=False)
+    """Singular values of the real matrix a, sorted descending."""
+    return np.linalg.svd(_as_matrix("A", a), compute_uv=False)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _norm2, _thin_qr, svd_values
+from .linalg import _as_matrix, _as_vector, _norm2, _thin_qr, svd_values
 
 
 class WedinHypothesisError(ValueError):
@@ -17,26 +17,26 @@ class WedinHypothesisError(ValueError):
 
 
 def forward_error(x_true: np.ndarray, x_hat: np.ndarray) -> float:
-    """Relative forward error ||x - x_hat|| / ||x||."""
-    x_true = np.asarray(x_true, dtype=float)
+    """Relative forward error ||x - x_hat|| / ||x|| of two real n-vectors."""
+    x_true = _as_vector("x_true", x_true)
     nx = _norm2(x_true)
     if nx == 0.0:
         raise ValueError("forward_error: true solution has zero norm")
-    return _norm2(x_true - np.asarray(x_hat, dtype=float)) / nx
+    return _norm2(x_true - _as_vector("x_hat", x_hat, x_true.size)) / nx
 
 
 def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
-    """Relative residual error ||r(x) - r(x_hat)|| / ||r(x)||."""
-    r_true = np.asarray(r_true, dtype=float)
+    """Relative residual error ||r(x) - r(x_hat)|| / ||r(x)|| of real m-vectors."""
+    r_true = _as_vector("r_true", r_true)
     nr = _norm2(r_true)
     if nr == 0.0:
         raise ValueError("residual_error: true residual has zero norm (consistent system)")
-    return _norm2(r_true - np.asarray(r_hat, dtype=float)) / nr
+    return _norm2(r_true - _as_vector("r_hat", r_hat, r_true.size)) / nr
 
 
 def _backward_error_of(a: np.ndarray):
     """be(b, x_hat) = backward_error(a, b, x_hat), with the work that depends
-    only on a (the shape check, a thin QR and ||A||_F) done here, once.
+    only on a (reading it, a thin QR and ||A||_F) done here, once.
 
     sigma_min of C = [A | nu*(I - qq')], q = r_hat/||r_hat||, comes without
     forming the m x (n+m) matrix, for any m >= n. sigma_min(C)^2 minimizes
@@ -54,16 +54,14 @@ def _backward_error_of(a: np.ndarray):
     q lies in range(A), as it always does at m = n, z's last entry is 0 and
     the extra coordinate gives a singular value of exactly nu, the cap.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_matrix("A", a, tall=True)
     m, n = a.shape
-    if m < n:
-        raise ValueError(f"backward_error requires m >= n, got A of shape {m} x {n}")
     q_hat, r_fac = _thin_qr(a)
     f_top = np.column_stack([r_fac.T, np.zeros((n, 1))])  # F's rows [R', 0]
     norm_a = _norm2(a.ravel())  # the 2-D norms square before they sum
 
     def be(b: np.ndarray, x_hat: np.ndarray) -> float:
-        x_hat = np.asarray(x_hat, dtype=float)
+        b, x_hat = _as_vector("b", b, m), _as_vector("x_hat", x_hat, n)
         nx = _norm2(x_hat)
         if not 0.0 < nx < np.inf:
             raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
@@ -95,7 +93,7 @@ def backward_error(a: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> float:
     BE = min(nu, sigma_min([A | nu*(I - r r'/||r||^2)])) / ||A||_F, where
     sigma_min comes from a (2n+1) x (n+1) matrix (_backward_error_of), at one
     thin QR of A. An A wider than tall, a zero or non-finite x_hat, or an
-    overflowing norm or nu raises ValueError.
+    overflowing norm or nu raises ValueError, as does a malformed A, b or x_hat.
     """
     return _backward_error_of(a)(b, x_hat)
 

@@ -13,20 +13,18 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .embed import SparseSignEmbedding, _check_integer
 from .linalg import (
     SingularMatrixError,
-    _as_rhs,
-    _check_real,
+    _as_matrix,
+    _as_vector,
     _norm2,
     _qr_solve_in_place,
     svd_values,
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
-from .metrics import forward_error
 from .problems import Truth
 
 
@@ -266,31 +264,20 @@ def sketch_and_solve(
     """Solve the sketched problem min ||Sb - (SA)y|| by Householder QR.
 
     Returns the solution and the R factor of SA for reuse by the iteration;
-    the QR overwrites the sketch where it was built. A wrong-length b or a
+    the QR overwrites the sketch where it was built. A malformed or
     non-finite A or b raises ValueError; a singular R, SingularMatrixError.
     """
-    a = _as_float(a)
-    return _qr_solve_in_place(_sketch(a, _as_rhs(a, b), s).T)
+    a, b = _as_problem(a, b)  # not _sketch(*...): its args tuple would live through the peak
+    return _qr_solve_in_place(_sketch(a, b, s).T)
 
 
-def _as_float(a):
-    """A as float64, after a complex A is refused: a dense A (or a list) by
-    np.asanyarray (a subclass kept), a sparse one by astype. A float64 A is
-    not copied; any other is converted once, not cast again by every product."""
-    _check_real("A", a)
-    return a.astype(float, copy=False) if sp.issparse(a) else np.asanyarray(a, dtype=float)
-
-
-def _as_problem(a, b, cfg: SolverConfig) -> tuple:
-    """A as _as_float gives it and b as _as_rhs gives it, after cfg is
-    validated against A's shape."""
-    a = _as_float(a)
-    b = _as_rhs(a, b)
-    m, n = a.shape
-    cfg.validate(n)
-    if m < n:
-        raise ValueError(f"need m >= n, got {m} x {n}")
-    return a, b
+def _as_problem(a, b, cfg: SolverConfig | None = None) -> tuple:
+    """A by linalg._as_matrix (dense or sparse, m >= n; converted once, not by
+    every product) and b by _as_vector, then cfg, if given, validated."""
+    a = _as_matrix("A", a, sparse=True, tall=True)
+    if cfg is not None:
+        cfg.validate(a.shape[1])
+    return a, _as_vector("b", b, a.shape[0])
 
 
 def _sketch_factor(
@@ -306,12 +293,14 @@ def _sketch_factor(
 
 
 def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
-    """(FE, RE) of x with residual r = b - Ax against the planted truth. RE
-    divides by the planted beta, not by ||truth.r|| (equal only up to
+    """(FE, RE) of x with residual r = b - Ax against the planted truth. FE is
+    forward_error's quotient without its entry checks, which every step would
+    pay. RE divides by the planted beta, not by ||truth.r|| (equal only up to
     rounding), and is ||r|| / ||b|| where beta = 0."""
+    fe = _norm2(truth.x - x) / _norm2(truth.x)
     if truth.beta > 0:
-        return forward_error(truth.x, x), _norm2(truth.r - r) / truth.beta
-    return forward_error(truth.x, x), _norm2(r) / _norm2(b)
+        return fe, _norm2(truth.r - r) / truth.beta
+    return fe, _norm2(r) / _norm2(b)
 
 
 def _record(
@@ -542,15 +531,19 @@ def lsqr(
 ) -> tuple[np.ndarray, int]:
     """LSQR from x0, right-preconditioned by R = precond_r (see _lsqr_steps):
     (x0 + R^-1 z, the steps taken). A max_iters that is not an integer >= 0
-    raises ValueError, and a zero on R's diagonal SingularMatrixError."""
+    raises ValueError, as does a malformed A, b (length m), x0 (length n) or
+    R (dense n x n); a zero on R's diagonal raises SingularMatrixError."""
     _check_integer("max_iters", max_iters)
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    precond_r = np.asarray(precond_r, dtype=float)
+    a = _as_matrix("A", a, sparse=True)
+    m, n = a.shape
+    b, x0 = _as_vector("b", b, m), _as_vector("x0", x0, n)
+    precond_r = _as_matrix("precond_r", precond_r)
+    if precond_r.shape != (n, n):
+        raise ValueError(f"precond_r must be n x n with n={n}, got shape {precond_r.shape}")
     if np.any(np.diag(precond_r) == 0.0):
         raise SingularMatrixError("singular preconditioner")
-    b = np.asarray(b, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     z, iters = np.zeros(precond_r.shape[0]), 0
     for z, _, _ in _lsqr_steps(a, b, x0, precond_r, max_iters, rtol):
         iters += 1

@@ -308,18 +308,18 @@ class TestApply:
             s.apply(np.ones((20, 2)), np.ones(21))
 
     @pytest.mark.parametrize("args, message", [
-        ((np.ones(20), np.ones(20)), "got an input of shape (20,)"),
-        ((np.array(1.0),), "got an input of shape ()"),
-        ((np.ones((20, 2, 2)),), "got an input of shape (20, 2, 2)"),
-        (([1.0] * 20, [1.0] * 20), "got an input of shape (20,)"),
-        (([[[1.0] * 2] * 2] * 20,), "got an input of shape (20, 2, 2)"),
-        (([[1.0, 2.0]] * 19 + [[1.0]],), "inhomogeneous shape"),
+        ((np.ones(20), np.ones(20)), "A must be a matrix, got shape (20,)"),
+        ((np.array(1.0),), "A must be a matrix, got shape ()"),
+        ((np.ones((20, 2, 2)),), "A must be a matrix, got shape (20, 2, 2)"),
+        (([1.0] * 20, [1.0] * 20), "A must be a matrix, got shape (20,)"),
+        (([[[1.0] * 2] * 2] * 20,), "A must be a matrix, got shape (20, 2, 2)"),
+        (([[1.0, 2.0]] * 19 + [[1.0]],), "A must be a numeric array: setting an array element"),
     ], ids=["vector-with-b", "0-d", "3-d", "vector-with-b-list", "3-d-list", "ragged-list"])
     def test_input_of_wrong_rank(self, args, message):
         # a list is read as its array and refused by that array's shape; a
-        # ragged one, which makes no array, by NumPy
+        # ragged one, which makes no array, by name with NumPy's reason
         s = SparseSignEmbedding(10, 20, 3, 0)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             s.apply(*args)
 
     @pytest.mark.parametrize("args, name", [
@@ -366,7 +366,7 @@ class TestMeasureDistortion:
 
     def test_vector_basis_rejected(self):
         s = SparseSignEmbedding(10, 6, 3, 0)
-        with pytest.raises(ValueError, match=r"^basis_q must be an m x k matrix, got shape \(6,\)"):
+        with pytest.raises(ValueError, match=r"^basis_q must be a matrix, got shape \(6,\)"):
             measure_distortion(s, np.ones(6) / math.sqrt(6))
 
     def test_complex_basis_rejected(self):

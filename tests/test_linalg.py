@@ -103,9 +103,9 @@ class TestQrSolve:
         with pytest.raises(ValueError):
             qr_solve(np.ones(3), np.ones(3))
         a = np.random.default_rng(13).standard_normal((30, 4))
-        with pytest.raises(ValueError, match=r"^b must be a vector of length m=30"):
+        with pytest.raises(ValueError, match=r"^b must be a vector of length 30,"):
             qr_solve(a, np.ones((30, 2)))
-        with pytest.raises(ValueError, match=r"^b must be a vector of length m=30"):
+        with pytest.raises(ValueError, match=r"^b must be a vector of length 30,"):
             qr_solve(a, np.ones(29))
 
     def test_complex_input_rejected(self):
@@ -178,10 +178,6 @@ class TestThinQr:
         before = a.copy()
         _thin_qr(a)
         assert np.array_equal(a, before)
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ValueError, match="m >= n"):
-            _thin_qr(np.ones((3, 5)))
 
     @pytest.mark.parametrize("name", ["_geqrf", "_orgqr"])
     def test_nonzero_info_raises(self, name, monkeypatch):

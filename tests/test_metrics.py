@@ -111,7 +111,7 @@ class TestBackwardError:
             backward_error(1e200 * np.ones((50, 2)), np.ones(50), np.array([1e150, 1.0]))
 
     def test_wide_a_raises_value_error(self):
-        with pytest.raises(ValueError, match="shape 3 x 4"):
+        with pytest.raises(ValueError, match=r"^A must be a matrix with m >= n, got shape \(3, 4\)"):
             backward_error(np.ones((3, 4)), np.ones(3), np.ones(4))
 
     # zero rows appended to [A | b] leave the backward error unchanged, at any m

@@ -970,7 +970,7 @@ class TestInputChecks:
 
     def test_a_wider_than_tall(self, solve, dense):
         a = np.random.default_rng(0).standard_normal((5, 10))
-        with pytest.raises(ValueError, match="need m >= n, got 5 x 10"):
+        with pytest.raises(ValueError, match=r"^A must be a matrix with m >= n, got shape \(5, 10\)"):
             solve(a if dense else sp.csr_matrix(a), np.ones(5), SolverConfig(d=20))
 
     @staticmethod
@@ -981,7 +981,7 @@ class TestInputChecks:
     def test_b_of_wrong_shape(self, solve, dense):
         a, b = self._problem(dense)
         for bad_b in (b[:-1], np.append(b, 1.0), b[:, None]):
-            with pytest.raises(ValueError, match=r"^b must be a vector of length m=300, got shape"):
+            with pytest.raises(ValueError, match=r"^b must be a vector of length 300, got shape"):
                 solve(a, bad_b, self.CFG)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1027,9 +1027,9 @@ def test_non_integer_config_field_rejected(solve, name, value):
 def _entry_inputs(draw):
     """(A, b, cfg, refusals): A of at most 300 x 8 in one of five dtypes, and
     cfg's integer fields as ints or NumPy ints, but for at most one drawn as
-    a float, integral or not; A and b as arrays, as nested lists, or with A a
-    ragged list; refusals holds the start of each message that may refuse the
-    solve."""
+    a float, integral or not; b real or complex, of length m or not (m - 1,
+    m + 1 or 1); A and b as arrays, as nested lists, or with A a ragged list;
+    refusals holds the start of each message that may refuse the solve."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(n, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1047,13 +1047,18 @@ def _entry_inputs(draw):
     refusals = [] if as_float is None else [f"{as_float} must be an integer"]
     if dtype == "complex128":
         refusals.append("A must be real")
-    b = rng.standard_normal(m)
+    length = draw(st.sampled_from([m, m, m, m - 1, m + 1, 1]))
+    b = rng.standard_normal(length) * (1 + 1j if draw(st.integers(0, 5)) == 0 else 1)
+    if length != m:
+        refusals.append(f"b must be a vector of length {m},")
+    if np.iscomplexobj(b):
+        refusals.append("b must be real")
     form = draw(st.sampled_from(["array", "array", "list", "ragged"]))
     if form != "array":
         a, b = a.tolist(), b.tolist()
     if form == "ragged":
         a.append(a[-1] + [a[-1][0]])  # a row one entry longer than the rest
-        refusals = ["setting an array element with a sequence"]
+        refusals = ["A must be a numeric array: setting an array element with a sequence"]
     return a, b, SolverConfig(**fields), refusals
 
 
@@ -1068,8 +1073,9 @@ _REASONS = {
 def test_entry_input_handling(inputs, solve):
     # whatever the fields' types and A's dtype: a finite solution with a
     # documented reason, or a ValueError; a non-integer field or a complex A
-    # is always refused, by name, and a ragged A by NumPy; lists and any
-    # other real dtype give the bits of their float64 arrays
+    # is always refused, by name, and so are a complex b, a b of the wrong
+    # length and a ragged A (with NumPy's reason); lists and any other real
+    # dtype give the bits of their float64 arrays
     a, b, cfg, refusals = inputs
     try:
         res = solve(a, b, cfg)
@@ -1140,7 +1146,7 @@ def test_caller_arrays_never_written(dense):
 def test_sketch_and_solve_names_b():
     p = gen_randsvd(300, 6, 10.0, 1e-3, 0)
     s = SparseSignEmbedding(60, 300, 8, 0)
-    with pytest.raises(ValueError, match=r"^b must be a vector of length m=300"):
+    with pytest.raises(ValueError, match=r"^b must be a vector of length 300,"):
         sketch_and_solve(p.a, p.b[:-1], s)
     with pytest.raises(ValueError, match=r"^b must be finite"):
         sketch_and_solve(p.a, np.full(300, np.nan), s)
