@@ -38,6 +38,7 @@ from .solvers import (
 )
 
 SCHEMA_LINE = "# schema=v1"
+TRACE_HEADER = "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re"
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -118,29 +119,21 @@ def cmd_solve(args) -> int:
     res = iterative_sketching(prob.a, prob.b, cfg, prob.truth)
     save_csv(args.out, ["x"], np.asarray(res.solution)[:, None])
     t = res.trace
-    summary_path = args.summary or (args.out + ".summary.csv")
-    fe = t.fe[-1] if t.fe else float("nan")
-    re = t.re[-1] if t.re else float("nan")
-    be = _be(args, prob)(res.solution)
-    _write_csv(
-        summary_path,
-        "iters,stop_reason,fe,re,be",
-        [[res.iterations, t.stop_reason, fe, re, be]],
-    )
+    _write_csv(args.summary or (args.out + ".summary.csv"), "iters,stop_reason,fe,re,be",
+               [[res.iterations, t.stop_reason, t.fe[-1], t.re[-1], _be(args, prob)(res.solution)]])
     return EXIT_DIVERGED if t.stop_reason == "diverged" else EXIT_OK
 
 
 def _trace_rows(be, method: str, kappa: float, beta: float, res, bounds=None) -> list[list]:
+    """TRACE_HEADER's rows of a solve given its problem's truth."""
     t = res.trace
     rows = []
     for i, x in enumerate(t.iterates):
-        fe = t.fe[i] if t.fe else float("nan")
-        re = t.re[i] if t.re else float("nan")
         chg = t.residual_changes[i - 1] if i >= 1 else float("nan")
         bf, br = (float("nan"), float("nan"))
         if bounds is not None:
             bf, br = float(bounds[0][i]), float(bounds[1][i])
-        rows.append([method, kappa, beta, i, fe, re, be(x), chg, bf, br])
+        rows.append([method, kappa, beta, i, t.fe[i], t.re[i], be(x), chg, bf, br])
     return rows
 
 
@@ -174,7 +167,7 @@ def cmd_convergence(args) -> int:
     tasks = [(k, r, s) for k in args.cond for r in args.resnorm for s in args.seed]
     for chunk in _map_trials(one, tasks):
         rows.extend(chunk)
-    _write_csv(args.out, "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re", rows)
+    _write_csv(args.out, TRACE_HEADER, rows)
     return EXIT_OK
 
 
@@ -187,7 +180,7 @@ def cmd_bad(args) -> int:
     for kind in ("bad_matrix", "bad_residual", "bad_init"):
         res = bad_variant(prob.a, prob.b, cfg, kind, prob.truth)
         rows += _trace_rows(be, kind, args.cond, args.resnorm, res)
-    _write_csv(args.out, "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re", rows)
+    _write_csv(args.out, TRACE_HEADER, rows)
     return EXIT_OK  # divergence of the bad baselines is the expected result
 
 
@@ -202,7 +195,7 @@ def cmd_compare(args) -> int:
         cfg = _solver_cfg(args, args.m, args.n, variant="basic", init=init)
         res = sketch_and_precondition(prob.a, prob.b, cfg, prob.truth)
         rows += _trace_rows(be, f"sp_{init}", args.cond, args.resnorm, res)
-    _write_csv(args.out, "method,kappa,resnorm,iter,fe,re,be,res_change,bound_fe,bound_re", rows)
+    _write_csv(args.out, TRACE_HEADER, rows)
     return EXIT_OK
 
 
@@ -269,11 +262,12 @@ def cmd_sparsebench(args) -> int:
     return EXIT_OK
 
 
-def _add_problem_flags(p: _Parser) -> None:
+def _add_problem_flags(p: _Parser, nargs: str | None = None) -> None:
+    """--m, --n, and --cond and --resnorm, of which nargs="+" takes several."""
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cond", type=float, required=True)
-    p.add_argument("--resnorm", type=float, required=True)
+    p.add_argument("--cond", type=float, nargs=nargs, required=True)
+    p.add_argument("--resnorm", type=float, nargs=nargs, required=True)
 
 
 def _add_solver_flags(p: _Parser, variant: bool = True, accuracy: bool = True,
@@ -310,10 +304,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("convergence", help="per-iteration error traces vs QR reference")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cond", type=float, nargs="+", required=True)
-    p.add_argument("--resnorm", type=float, nargs="+", required=True)
+    _add_problem_flags(p, nargs="+")
     _add_solver_flags(p, seeds=True)
     p.set_defaults(fn=cmd_convergence)
 

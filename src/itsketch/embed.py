@@ -85,16 +85,11 @@ class SparseSignEmbedding:
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.zeta)
 
-    def _row_starts(self) -> np.ndarray:
-        """First row of each of the zeta row blocks, then d."""
-        return (np.arange(self.zeta + 1) * self.d) // self.zeta
-
-    def _draw(self, j: int) -> np.ndarray:
+    def _draw(self, j: int, starts: np.ndarray) -> np.ndarray:
         """Column block j of S as one int32 draw v of shape (columns, zeta):
-        column i's entry in row block k sits at row v[i, k] >> 1 of that
-        block, and is -scale if v[i, k] & 1, else +scale."""
+        column i's entry in row block k (rows starts[k] to starts[k+1] - 1)
+        sits at row v[i, k] >> 1 of that block, -scale if v[i, k] & 1, else +scale."""
         count = min(COLUMN_BLOCK, self.m - j * COLUMN_BLOCK)
-        starts = self._row_starts()
         # when zeta divides d, the scalar bound draws the bits of the array
         # bound 2 * np.diff(starts) (tests/reference.py takes the array one,
         # and test_embed.py pins the two equal), in 0.33 ms where the array
@@ -137,21 +132,19 @@ class SparseSignEmbedding:
         width = a.shape[1:] if b is None else (a.shape[1] + 1,)
         out = np.zeros((self.d, *width), order="F")
         add_block = self._scatter_csr if sparse else self._add_dense
-        for j in range(-(-self.m // COLUMN_BLOCK)):
-            add_block(out, a, b, j)  # S's draw for block j is freed on return
+        starts = (np.arange(self.zeta + 1) * self.d) // self.zeta  # row block k's first row, then d
+        for j in range(-(-self.m // COLUMN_BLOCK)):  # each draw is freed before the next
+            add_block(out, a, b, self._draw(j, starts), j * COLUMN_BLOCK, starts)
         return out
 
-    def _add_dense(self, out, a, b, j) -> None:
-        """Add to out S's column block j times the same rows of the dense a
-        (and b, as out's last column, if given), one group of S's row blocks
+    def _add_dense(self, out, a, b, v, lo, starts) -> None:
+        """Add to out the column block v of S times the dense a's rows from lo
+        (and b's, as out's last column, if given), one group of S's row blocks
         at a time. Each group is one CSC product, which forms the rows of out
         it touches exactly as a product with all of S would, and holds at
         most GROUP_ENTRIES entries unless one row block alone holds more."""
-        v = self._draw(j)
-        lo = j * COLUMN_BLOCK
         hi = lo + v.shape[0]
         block = np.ascontiguousarray(a[lo:hi])  # SciPy's kernel copies any other
-        starts = self._row_starts()
         n = a.shape[1] if a.ndim == 2 else 1
         step = max(1, GROUP_ENTRIES // (-(-self.d // self.zeta) * n))
         for k0 in range(0, self.zeta, step):
@@ -175,19 +168,16 @@ class SparseSignEmbedding:
             part += product
             del product  # before the next group's
 
-    def _scatter_csr(self, out, a, b, j) -> None:
-        """Add to out S's column block j times the same rows of the CSR a (and
-        b, as out's last column, if given). Row block k of S touches only rows
-        starts[k]..starts[k+1]-1 of out, so each row block is one bincount
-        over that slice of A's entries, in A's row order, and one over b."""
-        v = self._draw(j)
-        lo = j * COLUMN_BLOCK
+    def _scatter_csr(self, out, a, b, v, lo, starts) -> None:
+        """Add to out the column block v of S times the CSR a's rows from lo
+        (and b's, as out's last column, if given). Row block k of S touches
+        only rows starts[k]..starts[k+1]-1 of out, so each row block is one
+        bincount over that slice of A's entries, in A's row order, and one over b."""
         hi = lo + v.shape[0]
         n = a.shape[1]
         start, stop = a.indptr[lo], a.indptr[hi]
         col = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
         val = a.data[start:stop]
-        starts = self._row_starts()
         # entry (r, c) of a row block's slice of out is bin c * tall + r, with
         # tall the most rows a row block has: column-major, as out is
         tall = -(-self.d // self.zeta)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .linalg import _thin_qr
+from .linalg import _as_matrix, _as_vector, _thin_qr
 
 
 @dataclass
@@ -116,11 +116,12 @@ def kernel_problem(
     """Square-exponential kernel regression design matrix against a random
     subset of n centers; features standardized to zero mean, unit variance.
 
-    Zero-variance feature columns are dropped with a warning.
+    Zero-variance feature columns are dropped with a warning. points (m x k)
+    and targets (length m) are read by linalg._as_matrix and _as_vector.
     """
-    points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    points = _as_matrix("points", points)
     m = points.shape[0]
+    targets = _as_vector("targets", targets, m)
     if not 1 <= subset_size <= m:
         raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
     try:

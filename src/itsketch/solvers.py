@@ -280,6 +280,17 @@ def _as_problem(a, b, cfg: SolverConfig | None = None) -> tuple:
     return a, _as_vector("b", b, a.shape[0])
 
 
+def _check_truth(truth: Truth | None, m: int, n: int) -> None:
+    """ValueError unless truth is None or has a nonzero x of length n (FE
+    divides by its norm) and an r of length m: once per solve, not per step."""
+    if truth is None:
+        return
+    x = _as_vector("truth.x", truth.x, n)
+    _as_vector("truth.r", truth.r, m)
+    if _norm2(x) == 0:
+        raise ValueError("truth.x must be nonzero: the forward error divides by its norm")
+
+
 def _sketch_factor(
     a, b: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -295,8 +306,9 @@ def _sketch_factor(
 def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """(FE, RE) of x with residual r = b - Ax against the planted truth. FE is
     forward_error's quotient without its entry checks, which every step would
-    pay. RE divides by the planted beta, not by ||truth.r|| (equal only up to
-    rounding), and is ||r|| / ||b|| where beta = 0."""
+    pay; the solver checked truth once, by _check_truth. RE divides by the
+    planted beta, not by ||truth.r|| (equal only up to rounding), and is
+    ||r|| / ||b|| where beta = 0."""
     fe = _norm2(truth.x - x) / _norm2(truth.x)
     if truth.beta > 0:
         return fe, _norm2(truth.r - r) / truth.beta
@@ -402,6 +414,7 @@ def iterative_sketching(
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
     a, b = _as_problem(a, b, cfg)
+    _check_truth(truth, *a.shape)
     coeffs = _update_coeffs(cfg, a.shape[1])  # refuses d = n before anything is sketched
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     correction = lambda x, r: _normal_step(r_fac, a.T @ r)  # (R'R)^-1 A'r
@@ -427,6 +440,7 @@ def bad_variant(
 
     if kind == "bad_init":
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
+    _check_truth(truth, *a.shape)
     coeffs = _update_coeffs(cfg, a.shape[1])
 
     if kind == "bad_residual":
@@ -564,6 +578,7 @@ def sketch_and_precondition(
     so without truth each step makes two products with A or A', not three.
     The solution is the last traced iterate."""
     a, b = _as_problem(a, b, cfg)
+    _check_truth(truth, *a.shape)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     _record(trace, a, b, x0, None, truth)

@@ -267,6 +267,29 @@ class TestApply:
         assert np.array_equal(s.apply(p.a, p.b), s.apply(p.a.toarray(), p.b))
         assert np.array_equal(s.apply(p.a), s.apply(p.a.toarray()))
 
+    @pytest.mark.parametrize("with_b", [False, True])
+    @pytest.mark.parametrize("sparse_a", [False, True])
+    def test_each_column_block_drawn_once_per_call(self, sparse_a, with_b, monkeypatch):
+        # apply draws block j from default_rng([rng_seed, j]) and hands the
+        # draw to the kernel, which draws none of its own, whatever the
+        # number of row-block groups (three here for a dense A)
+        rng = np.random.default_rng(0)
+        m = 2 * COLUMN_BLOCK + 5
+        a = sp.random(m, 6, density=0.3, random_state=rng, format="csr")
+        args = (a if sparse_a else a.toarray(),) + ((rng.standard_normal(m),) if with_b else ())
+        seeds, default_rng = [], np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(embed, "GROUP_ENTRIES", 250)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        s = SparseSignEmbedding(101, m, 8, 13)
+        for calls in (1, 2):
+            s.apply(*args)
+            assert seeds == [[13, 0], [13, 1], [13, 2]] * calls
+
     def test_csc_and_coo_solve_as_csr(self):
         # any sparse format other than CSR is converted to CSR before the sketch
         p = gen_sparse(20000, 20, 0)

@@ -1,4 +1,4 @@
-"""How the twelve public entries read caller arrays: through linalg's one
+"""How the public entries read caller arrays: through linalg's one
 reader, which refuses a malformed input by name where it enters, reads a
 list as its array and converts any other real dtype once."""
 
@@ -15,6 +15,7 @@ from itsketch import (
     bad_variant,
     forward_error,
     iterative_sketching,
+    kernel_problem,
     lsqr,
     measure_distortion,
     qr_solve,
@@ -62,6 +63,9 @@ ENTRIES = {
     "apply": (S.apply, {"A": (A, MATRIX + ["short"]), "b": (B, VECTOR)}),
     "measure_distortion": (
         lambda basis_q: measure_distortion(S, basis_q), {"basis_q": (Q, MATRIX + ["sparse"])}),
+    "kernel_problem": (
+        lambda points, targets: kernel_problem(points, targets, subset_size=5),
+        {"points": (A, MATRIX + ["sparse"]), "targets": (B, VECTOR)}),
 }
 
 

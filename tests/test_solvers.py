@@ -1012,6 +1012,24 @@ class TestInputChecks:
             solve(a, b + 1j, self.CFG)
 
 
+@pytest.mark.parametrize("bad_truth, message", [
+    ({"x": np.zeros(5)}, "truth.x must be nonzero"),
+    ({"x": np.ones(4)}, r"truth.x must be a vector of length 5, got shape \(4,\)"),
+    ({"r": np.ones(7)}, r"truth.r must be a vector of length 200, got shape \(7,\)"),
+], ids=["zero-x", "short-x", "short-r"])
+@pytest.mark.parametrize("solve", ENTRY_SOLVES.values(), ids=ENTRY_SOLVES.keys())
+def test_malformed_truth_refused_before_the_sketch(solve, bad_truth, message, monkeypatch):
+    # checked once, by name, where it enters: not a ZeroDivisionError or a
+    # broadcast error at the first traced step
+    def sketch(*args):
+        raise AssertionError("sketched a solve with a malformed truth")
+
+    monkeypatch.setattr(SparseSignEmbedding, "apply", sketch)
+    p = gen_randsvd(200, 5, 10.0, 1e-3, 0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solve(p.a, p.b, SolverConfig(d=40), truth=replace(p.truth, **bad_truth))
+
+
 @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
 @pytest.mark.parametrize("name, value", [
     ("d", 100.0), ("zeta", 8.0), ("rng_seed", 2.5), ("max_iters", 5.5), ("max_iters", np.float64(5)),
