@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import lambertw
 
-from .linalg import _as_matrix, _as_vector, _read, svd_values
+from .linalg import _as_matrix, _as_vector, _check_integer, _read, svd_values
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,6 @@ COLUMN_BLOCK = 8192
 # 2**17 gives 0.99 ms, 3.13 ms and 1.156 MiB, 2**15 1.16 ms, 3.31 ms and
 # 0.997 MiB.
 GROUP_ENTRIES = 2**17
-
-
-def _check_integer(name: str, value) -> None:
-    """ValueError unless value is a Python or NumPy integer. A bool is refused
-    too: Python counts it an int, but no count of the package is a flag."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,9 @@ class SparseSignEmbedding:
         returned dense and column-major. Given b (length m) as well,
         [S @ a | S @ b] as one column-major d x (n+1) array, in one pass that
         draws S once; its transpose is the buffer that
-        linalg._qr_solve_in_place factors with no copy.
+        linalg._qr_solve_in_place factors with no copy. An A or b that holds a
+        NaN or inf raises ValueError naming it: each reaches the d-row
+        result, so no m-row temporary is scanned.
 
         A is read through its rows and, if sparse, its CSR arrays; any other
         sparse format is first copied whole to CSR (a solve on a 2e5 x 100
@@ -135,6 +130,9 @@ class SparseSignEmbedding:
         starts = (np.arange(self.zeta + 1) * self.d) // self.zeta  # row block k's first row, then d
         for j in range(-(-self.m // COLUMN_BLOCK)):  # each draw is freed before the next
             add_block(out, a, b, self._draw(j, starts), j * COLUMN_BLOCK, starts)
+        for name, sketched in [("A", out)] if b is None else [("A", out[:, :-1]), ("b", out[:, -1])]:
+            if not np.isfinite(sketched).all():
+                raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
         return out
 
     def _add_dense(self, out, a, b, v, lo, starts) -> None:
@@ -206,7 +204,7 @@ def measure_distortion(s, basis_q: np.ndarray) -> DistortionReport:
     basis_q = _as_matrix("basis_q", basis_q)
     k = basis_q.shape[1]
     gram_err = np.linalg.norm(basis_q.T @ basis_q - np.eye(k))
-    if gram_err > 1e-10:
+    if not gram_err <= 1e-10:  # a NaN in basis_q too
         raise ValueError(f"basis is not orthonormal (||Q'Q - I|| = {gram_err:.2e})")
     sv = svd_values(s.apply(basis_q))  # min(d, k) values
     sigma_max, sigma_min = float(sv[0]), float(sv[-1]) if sv.size == k else 0.0
@@ -220,6 +218,8 @@ def choose_dim(m: int, n: int, accuracy_u: float, variant: str) -> int:
 
     variant is one of {"basic", "damped", "momentum"}.
     """
+    for name, count in (("m", m), ("n", n)):
+        _check_integer(name, count)
     if m < n or n < 1:
         raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
     if not 0 < accuracy_u < 1:

@@ -134,6 +134,13 @@ def _read(name: str, v, sparse: bool = False):
     return v.astype(float, copy=False)
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError unless value is a Python or NumPy integer. A bool is refused
+    too: Python counts it an int, but no count of the package is a flag."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_matrix(name: str, a, sparse: bool = False, tall: bool = False):
     """_read's a, or a ValueError naming it unless a matrix (m >= n if tall)."""
     a = _read(name, a, sparse)
@@ -201,10 +208,7 @@ def _qr_solve_in_place(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """qr_solve(a, b) for the m x n a and the b stored as the rows of the
     C-contiguous (n+1) x m buffer cols, a's columns first: dgeqrf overwrites
     cols, and no copy is made. The transpose of a column-major [a | b] is
-    such a buffer."""
-    k, m = cols.shape
-    if m < k - 1:
-        raise ValueError(f"need m >= n, got {m} x {k - 1}")
+    such a buffer; its caller, solvers.sketch_and_solve, checks m >= n."""
     return _solve_joined(_householder(cols, one_thread=True))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .linalg import _as_matrix, _as_vector, _thin_qr
+from .linalg import _as_matrix, _as_vector, _check_integer, _thin_qr
 
 
 @dataclass
@@ -48,6 +48,8 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
     """Dense instance A = U1 Sigma V' with log-equispaced singular values in
     [1/kappa, 1], unit-norm planted solution, and residual of norm beta drawn
     uniformly in the orthogonal complement of range(U1)."""
+    for name, count in (("m", m), ("n", n), ("seed", seed)):
+        _check_integer(name, count)
     if not (m > n >= 2):
         raise ValueError(f"need m > n >= 2, got m={m}, n={n}")
     if not 1 <= kappa < np.inf:
@@ -97,6 +99,8 @@ def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.nd
 def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
     """Sparse instance: exactly 3 distinct uniformly random column positions
     per row with +-1 values, Gaussian right-hand side. No ground truth."""
+    for name, count in (("m", m), ("n", n), ("seed", seed)):
+        _check_integer(name, count)
     if not (m >= n >= 3):
         raise ValueError(f"need m >= n >= 3, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -122,6 +126,8 @@ def kernel_problem(
     points = _as_matrix("points", points)
     m = points.shape[0]
     targets = _as_vector("targets", targets, m)
+    for name, count in (("subset_size", subset_size), ("seed", seed)):
+        _check_integer(name, count)
     if not 1 <= subset_size <= m:
         raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
     try:

@@ -14,11 +14,12 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .embed import SparseSignEmbedding, _check_integer
+from .embed import SparseSignEmbedding
 from .linalg import (
     SingularMatrixError,
     _as_matrix,
     _as_vector,
+    _check_integer,
     _norm2,
     _qr_solve_in_place,
     svd_values,
@@ -180,6 +181,7 @@ def theoretical_bound_curve(
     The momentum bound is stated only for i >= 2; its entries for i < 2 are
     nan.
     """
+    _check_integer("iters", iters)
     idx = np.arange(iters + 1, dtype=float)
     if variant == "basic":
         if not 0 <= epsilon < _EPS_BASIC_MAX:
@@ -247,17 +249,6 @@ def _diverged(norms: list[float], x: np.ndarray) -> bool:
             and last > GUARD_FACTOR * min(norms))
 
 
-def _sketch(a, b: np.ndarray, s: SparseSignEmbedding) -> np.ndarray:
-    """[SA | Sb], one column-major d x (n+1) array drawn in a single pass over
-    A and b, or a ValueError naming A or b if it holds a NaN or inf: each
-    reaches the d-row sketch, so no m-row temporary is scanned."""
-    sab = s.apply(a, b)
-    for name, sketched in (("A", sab[:, :-1]), ("b", sab[:, -1])):
-        if not np.isfinite(sketched).all():
-            raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
-    return sab
-
-
 def sketch_and_solve(
     a, b: np.ndarray, s: SparseSignEmbedding
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,30 +256,36 @@ def sketch_and_solve(
 
     Returns the solution and the R factor of SA for reuse by the iteration;
     the QR overwrites the sketch where it was built. A malformed or
-    non-finite A or b raises ValueError; a singular R, SingularMatrixError.
+    non-finite A or b raises ValueError, as does an S of fewer rows d than A
+    has columns n; a singular R raises SingularMatrixError.
     """
-    a, b = _as_problem(a, b)  # not _sketch(*...): its args tuple would live through the peak
-    return _qr_solve_in_place(_sketch(a, b, s).T)
+    a, b = _as_problem(a, b)
+    if s.d < a.shape[1]:
+        raise ValueError(f"S must have d >= n = {a.shape[1]} rows, got d = {s.d}")
+    return _qr_solve_in_place(s.apply(a, b).T)
 
 
-def _as_problem(a, b, cfg: SolverConfig | None = None) -> tuple:
+def _as_problem(a, b, cfg: SolverConfig | None = None, truth: Truth | None = None) -> tuple:
     """A by linalg._as_matrix (dense or sparse, m >= n; converted once, not by
-    every product) and b by _as_vector, then cfg, if given, validated."""
+    every product) and b by _as_vector; then, if given, cfg validated against
+    n, and truth.x and truth.r read as finite vectors of length n and m, x
+    nonzero (FE divides by its norm), and truth.beta a finite number >= 0 (RE
+    divides by it where it is positive). Once per solve, before the sketch."""
     a = _as_matrix("A", a, sparse=True, tall=True)
+    m, n = a.shape
     if cfg is not None:
-        cfg.validate(a.shape[1])
-    return a, _as_vector("b", b, a.shape[0])
-
-
-def _check_truth(truth: Truth | None, m: int, n: int) -> None:
-    """ValueError unless truth is None or has a nonzero x of length n (FE
-    divides by its norm) and an r of length m: once per solve, not per step."""
-    if truth is None:
-        return
-    x = _as_vector("truth.x", truth.x, n)
-    _as_vector("truth.r", truth.r, m)
-    if _norm2(x) == 0:
-        raise ValueError("truth.x must be nonzero: the forward error divides by its norm")
+        cfg.validate(n)
+    b = _as_vector("b", b, m)
+    if truth is not None:
+        x, r = _as_vector("truth.x", truth.x, n), _as_vector("truth.r", truth.r, m)
+        if not 0 < _norm2(x) < math.inf:  # nrm2 is NaN or inf if an entry is
+            raise ValueError(
+                "truth.x must be nonzero and finite: the forward error divides by its norm")
+        if not _norm2(r) < math.inf:
+            raise ValueError("truth.r must be finite")
+        if not 0 <= truth.beta < math.inf:
+            raise ValueError(f"truth.beta must be a finite number >= 0, got {truth.beta!r}")
+    return a, b
 
 
 def _sketch_factor(
@@ -306,7 +303,7 @@ def _sketch_factor(
 def _errors(truth: Truth, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """(FE, RE) of x with residual r = b - Ax against the planted truth. FE is
     forward_error's quotient without its entry checks, which every step would
-    pay; the solver checked truth once, by _check_truth. RE divides by the
+    pay; the solver checked truth once, by _as_problem. RE divides by the
     planted beta, not by ||truth.r|| (equal only up to rounding), and is
     ||r|| / ||b|| where beta = 0."""
     fe = _norm2(truth.x - x) / _norm2(truth.x)
@@ -413,8 +410,7 @@ def iterative_sketching(
     """Iterative refinement on the normal equations preconditioned by
     (SA)'(SA), implemented in the stable order: fused residual b - A x,
     then A'r, then two triangular solves against the R factor of SA."""
-    a, b = _as_problem(a, b, cfg)
-    _check_truth(truth, *a.shape)
+    a, b = _as_problem(a, b, cfg, truth)
     coeffs = _update_coeffs(cfg, a.shape[1])  # refuses d = n before anything is sketched
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     correction = lambda x, r: _normal_step(r_fac, a.T @ r)  # (R'R)^-1 A'r
@@ -429,18 +425,16 @@ def bad_variant(
     bad_matrix: form (SA)'(SA) explicitly, factorize by Cholesky (LU with
     partial pivoting on Cholesky breakdown). bad_residual: evaluate the
     right-hand side in the unstable order A'b - A'(Ax). bad_init: the stable
-    iteration started from zero. Divergence is a reportable outcome, not an
-    error.
+    iteration started from zero. The other two start where cfg.init says, as
+    the stable solver does. Divergence is a reportable outcome, not an error.
 
     Each takes its update coefficients from cfg.variant like the stable
     solver, so with the default config it runs the momentum iteration; the
     paper demonstrates the baselines on the basic one (variant="basic").
     """
-    a, b = _as_problem(a, b, cfg)
-
+    a, b = _as_problem(a, b, cfg, truth)  # cfg.init checked before bad_init replaces it
     if kind == "bad_init":
         return iterative_sketching(a, b, replace(cfg, init="zero"), truth)
-    _check_truth(truth, *a.shape)
     coeffs = _update_coeffs(cfg, a.shape[1])
 
     if kind == "bad_residual":
@@ -450,7 +444,7 @@ def bad_variant(
         return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
 
     if kind == "bad_matrix":
-        sab = _sketch(a, b, SparseSignEmbedding(cfg.d, a.shape[0], cfg.zeta, cfg.rng_seed))
+        sab = SparseSignEmbedding(cfg.d, a.shape[0], cfg.zeta, cfg.rng_seed).apply(a, b)
         # row-major: from a column-major SA, SA'Sb takes another BLAS path,
         # with other bits
         sa = np.ascontiguousarray(sab[:, :-1])
@@ -458,18 +452,23 @@ def bad_variant(
         try:
             gram_solve = partial(_normal_step, np.linalg.cholesky(gram).T)
         except np.linalg.LinAlgError:
-            # a singular Gram matrix gives a zero pivot and a non-finite x0;
-            # the divergence test reports it instead of lu_solve raising
-            gram_solve = partial(
-                scipy.linalg.lu_solve, scipy.linalg.lu_factor(gram), check_finite=False)
-        x0 = gram_solve(sa.T @ sab[:, -1])
+            # a singular Gram matrix gives a zero pivot and a non-finite
+            # step; the divergence test reports it, quietly, instead of
+            # lu_solve raising or lu_factor warning (getrf is its factor)
+            lu, piv, _ = scipy.linalg.lapack.dgetrf(gram)
+            gram_solve = partial(scipy.linalg.lu_solve, (lu, piv), check_finite=False)
+        x0 = np.zeros(a.shape[1]) if cfg.init == "zero" else gram_solve(sa.T @ sab[:, -1])
         del sa, sab
         # no R factor exists here; estimate scale/conditioning from the Gram matrix
         gram_sv = svd_values(gram)
         normest = math.sqrt(gram_sv[0])
-        condest = float(math.sqrt(gram_sv[0] / max(gram_sv[-1], np.finfo(float).tiny)))
         correction = lambda x, r: gram_solve(a.T @ r)
-        return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
+        # a singular Gram matrix makes condest overflow and the iterates inf
+        # or NaN, which the divergence test reports; NumPy's warnings on the
+        # way would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            condest = float(math.sqrt(gram_sv[0] / max(gram_sv[-1], np.finfo(float).tiny)))
+            return _run_refinement(a, b, cfg, coeffs, x0, correction, normest, condest, truth)
 
     raise ValueError(f"unknown bad variant {kind!r}")
 
@@ -546,10 +545,13 @@ def lsqr(
     """LSQR from x0, right-preconditioned by R = precond_r (see _lsqr_steps):
     (x0 + R^-1 z, the steps taken). A max_iters that is not an integer >= 0
     raises ValueError, as does a malformed A, b (length m), x0 (length n) or
-    R (dense n x n); a zero on R's diagonal raises SingularMatrixError."""
+    R (dense n x n), and an rtol that is not a finite number >= 0; a zero on
+    R's diagonal raises SingularMatrixError."""
     _check_integer("max_iters", max_iters)
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be a finite number >= 0, got {rtol!r}")
     a = _as_matrix("A", a, sparse=True)
     m, n = a.shape
     b, x0 = _as_vector("b", b, m), _as_vector("x0", x0, n)
@@ -577,8 +579,7 @@ def sketch_and_precondition(
     the other two stops. b - Ax is formed only for the errors against truth,
     so without truth each step makes two products with A or A', not three.
     The solution is the last traced iterate."""
-    a, b = _as_problem(a, b, cfg)
-    _check_truth(truth, *a.shape)
+    a, b = _as_problem(a, b, cfg, truth)
     x0, r_fac, normest, condest = _sketch_factor(a, b, cfg)
     trace = SolveTrace(normest=normest, condest=condest)
     _record(trace, a, b, x0, None, truth)

@@ -8,12 +8,14 @@ count, and over SparseSignEmbedding.apply's [SA | Sb] for each instance at
 each rng_seed it is solved with. Two checkouts that print the same hashes
 sketch and solve every grid bit for bit alike.
 
-The grids (387 solves, about 5 s on a 2-core host):
+The grids (391 solves, about 5 s on a 2-core host):
   paper  the 90 gen_randsvd(4000, 50, kappa, beta, s) at d = 1000,
          max_iters=100, rng_seed=s, with truth, by basic and momentum
          iterative sketching and by sketch-and-precondition from both inits;
   bad    the three bad_variant kinds on gen_randsvd(4000, 50, 1e10, 1e-6, 0)
          at SolverConfig(d=1000), with truth;
+  bad_zero  bad's instance and kinds, and iterative sketching, at
+         SolverConfig(d=1000, init="zero"), with truth;
   drift  gen_sparse(20000, 10, 0) at SolverConfig(d=200) with rng_seed 0-3,
          by basic and momentum, by sketch-and-precondition, and by it at
          max_iters=3;
@@ -72,6 +74,12 @@ def bad():
     yield q, SolverConfig(d=1000), q.truth, [_bad(kind) for kind in kinds]
 
 
+def bad_zero():
+    q = gen_randsvd(4000, 50, 1e10, 1e-6, 0)
+    solves = [_bad(kind) for kind in ("bad_matrix", "bad_residual", "bad_init")]
+    yield q, SolverConfig(d=1000, init="zero"), q.truth, [*solves, _is("momentum")]
+
+
 def drift():
     q = gen_sparse(20000, 10, 0)
     for seed in range(4):
@@ -92,7 +100,7 @@ def bench():
         yield q, cfg, q.truth if truth else None, [solve]
 
 
-GRIDS = {"paper": paper, "bad": bad, "drift": drift, "bench": bench}
+GRIDS = {"paper": paper, "bad": bad, "bad_zero": bad_zero, "drift": drift, "bench": bench}
 
 
 def _floats(h, values) -> None:

@@ -286,6 +286,18 @@ class TestConvergence:
         got = {int(r[3]): float(r[9]) for r in rows if r[0] == "is_momentum"}
         np.testing.assert_array_equal([got[i] for i in sorted(got)], want)
 
+    def test_bounds_nan_outside_the_rate_hypothesis(self, tmp_path):
+        # at d = 40, eps = sqrt(20/40) is past basic's 1 - 1/sqrt(2): no bound
+        out = tmp_path / "conv.csv"
+        assert run([
+            "convergence", "--m", "500", "--n", "20", "--d", "40", "--cond", "1e4",
+            "--resnorm", "1e-4", "--seed", "0", "--max-iters", "5", "--variant", "basic",
+            "--out", str(out),
+        ]) == EXIT_OK
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        traced = [r for r in rows if r[0] == "is_basic"]
+        assert traced and all(math.isnan(float(r[8])) and math.isnan(float(r[9])) for r in traced)
+
     def test_rows_sorted(self, tmp_path):
         out = tmp_path / "conv.csv"
         run([
@@ -439,6 +451,12 @@ class TestKernel:
             code = run(["kernel", "--data", str(data), "--centers", "5", "--d", "20",
                         "--repeats", "1", "--out", str(tmp_path / "k.csv")])
         assert code == EXIT_USAGE
+
+    def test_header_only_data_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "h.csv"
+        data.write_text("x,y\n")
+        assert run(["kernel", "--data", str(data), "--out", str(tmp_path / "k.csv")]) == EXIT_IO
+        assert f"{data}: no data rows" in capsys.readouterr().err
 
     def test_malformed_data_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

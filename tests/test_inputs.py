@@ -13,7 +13,10 @@ from itsketch import (
     SparseSignEmbedding,
     backward_error,
     bad_variant,
+    choose_dim,
     forward_error,
+    gen_randsvd,
+    gen_sparse,
     iterative_sketching,
     kernel_problem,
     lsqr,
@@ -23,6 +26,7 @@ from itsketch import (
     sketch_and_precondition,
     sketch_and_solve,
     svd_values,
+    theoretical_bound_curve,
 )
 
 _rng = np.random.default_rng(0)
@@ -121,3 +125,54 @@ def test_list_or_float32_input_gives_its_float64_arrays_bits(entry, name, form):
         given = value.astype(np.float32)
         as_float = given.astype(float)
     assert _bits(_call(entry, **{name: given})) == _bits(_call(entry, **{name: as_float}))
+
+
+# (call, {count: its good value}): every count an entry takes from a caller
+COUNTS = {
+    "gen_randsvd": (lambda m, n, seed: gen_randsvd(m, n, 10.0, 0.1, seed), {"m": 40, "n": 3, "seed": 0}),
+    "gen_sparse": (gen_sparse, {"m": 40, "n": 3, "seed": 0}),
+    "kernel_problem": (
+        lambda subset_size, seed: kernel_problem(A, B, subset_size=subset_size, seed=seed),
+        {"subset_size": 5, "seed": 0}),
+    "choose_dim": (lambda m, n: choose_dim(m, n, 1e-16, "basic"), {"m": 400, "n": 10}),
+    "theoretical_bound_curve": (
+        lambda iters: theoretical_bound_curve("damped", 0.1, 1.0, 1.0, 1.0, iters), {"iters": 3}),
+}
+
+
+@pytest.mark.parametrize("entry, name, value", [
+    (entry, name, value) for entry, (_, counts) in COUNTS.items() for name in counts
+    for value in [float(counts[name]), counts[name] + 0.5, *[True] * (name == "subset_size")]
+])
+def test_non_integer_count_refused_by_name(entry, name, value):
+    # not NumPy's TypeError from inside, nor, for choose_dim, a d from a
+    # fractional n
+    call, counts = COUNTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
+        call(**{**counts, name: value})
+
+
+@pytest.mark.parametrize("args, name", [
+    ((np.where(A == A[7, 1], np.nan, A),), "A"),
+    ((sp.csr_matrix(np.where(A == A[7, 1], np.inf, A)),), "A"),
+    ((np.where(B == B[3], -np.inf, B),), "A"),
+    ((A, np.where(B == B[3], np.nan, B)), "b"),
+], ids=["dense", "csr", "vector", "b"])
+def test_apply_refuses_non_finite_input(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite: its sketch holds a NaN or inf"):
+        S.apply(*args)
+
+
+def test_nan_basis_refused_by_measure_distortion():
+    # ||Q'Q - I|| is NaN, which the orthonormality test let through to an SVD
+    # that did not converge
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((400, 5)))[0]
+    q[17, 2] = np.nan
+    with pytest.raises(ValueError, match="^basis is not orthonormal"):
+        measure_distortion(SparseSignEmbedding(60, 400, 4, 0), q)
+
+
+def test_sketch_and_solve_refuses_s_with_fewer_rows_than_a_has_columns():
+    # by name, where S enters: not from the QR of the d x n sketch
+    with pytest.raises(ValueError, match=r"^S must have d >= n = 3 rows, got d = 2"):
+        sketch_and_solve(A, B, SparseSignEmbedding(2, 40, 1, 0))

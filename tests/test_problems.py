@@ -227,6 +227,13 @@ class TestCsv:
         assert np.array_equal(pts, [[1.0], [3.0]])
         assert np.array_equal(tg, [2.0, 4.0])
 
+    def test_blank_line_skipped(self, tmp_path):
+        f = tmp_path / "b.csv"
+        f.write_text("x,y\n1,2\n\n3,4\n")
+        pts, tg = load_csv(str(f), "y")
+        assert np.array_equal(pts, [[1.0], [3.0]])
+        assert np.array_equal(tg, [2.0, 4.0])
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "e.csv"
         f.write_text("")

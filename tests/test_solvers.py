@@ -8,7 +8,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +151,10 @@ class TestBoundCurve:
     def test_basic_hypothesis(self):
         with pytest.raises(RateHypothesisError):
             theoretical_bound_curve("basic", 0.3, 1.0, 1.0, 1.0, iters=2)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'"):
+            theoretical_bound_curve("bogus", 0.1, 1.0, 1.0, 1.0, iters=2)
 
 
 def _rule_fires(r_next, r_curr, x_next, normest, condest):
@@ -443,6 +446,13 @@ class TestIterativeSketching:
             iterative_sketching(p.a, p.b, SolverConfig(d=5, variant="basic"))
         with pytest.raises(ValueError):
             iterative_sketching(p.a, p.b, SolverConfig(d=50, variant="bogus"))
+        with pytest.raises(ValueError, match="^max_iters must be >= 0"):
+            iterative_sketching(p.a, p.b, SolverConfig(d=50, max_iters=-1))
+        with pytest.raises(ValueError, match="^unknown init 'bogus'"):
+            iterative_sketching(p.a, p.b, SolverConfig(d=50, init="bogus"))
+        for kind in ("bad_matrix", "bad_residual", "bad_init"):  # bad_init replaces init
+            with pytest.raises(ValueError, match="^unknown init 'bogus'"):
+                bad_variant(p.a, p.b, SolverConfig(d=50, init="bogus"), kind)
 
     @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition])
     def test_a_without_columns_rejected(self, solve):
@@ -518,6 +528,20 @@ class TestLsqr:
     def test_zero_rhs(self):
         x, iters = lsqr(np.eye(4), np.zeros(4), np.zeros(4), np.eye(4), 5)
         assert iters == 0 and np.array_equal(x, np.zeros(4))
+
+    def test_rhs_orthogonal_to_range(self):
+        # b - Ax0 is nonzero but A'(b - Ax0) is zero: x0 is already the
+        # solution, and no step is taken
+        a = np.vstack([np.eye(3), np.zeros((2, 3))])
+        b = np.array([0.0, 0.0, 0.0, 1.0, -2.0])
+        x, iters = lsqr(a, b, np.zeros(3), np.eye(3), 5)
+        assert iters == 0 and np.array_equal(x, np.zeros(3))
+
+    @pytest.mark.parametrize("rtol", [-1.0, np.nan, np.inf])
+    def test_rtol_checked(self, rtol):
+        # rtol = -1 ran all 5 of 5 steps
+        with pytest.raises(ValueError, match=f"^rtol must be a finite number >= 0, got {rtol!r}"):
+            lsqr(np.eye(4), np.ones(4), np.zeros(4), np.eye(4), 5, rtol)
 
     @pytest.mark.parametrize("max_iters, message", [
         (-1, "max_iters must be >= 0"), (2.5, "max_iters must be an integer"),
@@ -912,13 +936,14 @@ class TestBadVariants:
     def test_bad_matrix_singular_gram_reports_divergence(self, seed):
         # a zero column makes the Gram matrix singular: Cholesky fails, LU
         # meets an exactly zero pivot and x0 is not finite, which the
-        # divergence test reports from the first step's residual norm
-        # instead of lu_solve raising
+        # divergence test reports from the first step's residual norm,
+        # with no warning, instead of lu_solve raising
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 4))
         a[:, 2] = 0.0
         b = rng.standard_normal(200)
-        with pytest.warns(scipy.linalg.LinAlgWarning), np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = SolverConfig(d=40, variant="basic", rng_seed=seed)
             res = bad_variant(a, b, cfg, "bad_matrix")
         assert res.trace.stop_reason == "diverged"
@@ -958,6 +983,38 @@ ENTRY_SOLVES = {
     "sp": sketch_and_precondition,
     **{kind: partial(bad_variant, kind=kind) for kind in ("bad_matrix", "bad_residual", "bad_init")},
 }
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+@pytest.mark.parametrize("kind", ENTRY_SOLVES)
+def test_equal_columns_solved_without_warning(kind, dense):
+    # two equal columns make bad_matrix's Gram matrix singular, as a zero
+    # column does: it ends diverged after one step, and no solver warns (the
+    # suite turns a RuntimeWarning, LinAlgWarning among them, into an error)
+    if dense:
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((200, 4)), rng.standard_normal(200)
+        a[:, 3] = a[:, 1]
+    else:
+        p = gen_sparse(2000, 6, 0)
+        a, b = sp.csr_matrix(sp.hstack([p.a, p.a[:, 1]])), p.b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ENTRY_SOLVES[kind](a, b, SolverConfig(d=40, variant="basic"))
+    if kind == "bad_matrix":
+        assert (res.trace.stop_reason, res.iterations) == ("diverged", 1)
+    else:
+        assert np.isfinite(res.solution).all() or res.trace.stop_reason == "diverged"
+
+
+@pytest.mark.parametrize("kind", ["is", "bad_matrix", "bad_residual", "bad_init"])
+def test_zero_init_starts_every_refinement_at_zero(kind):
+    # bad_matrix started at its Gram solve (FE 1.189) whatever cfg.init said
+    p = gen_randsvd(400, 10, 1e4, 1e-3, 0)
+    cfg = SolverConfig(d=100, variant="basic", init="zero")
+    res = ENTRY_SOLVES[kind](p.a, p.b, cfg, truth=p.truth)
+    assert not res.trace.iterates[0].any()
+    assert res.trace.fe[0] == 1.0
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
@@ -1016,7 +1073,11 @@ class TestInputChecks:
     ({"x": np.zeros(5)}, "truth.x must be nonzero"),
     ({"x": np.ones(4)}, r"truth.x must be a vector of length 5, got shape \(4,\)"),
     ({"r": np.ones(7)}, r"truth.r must be a vector of length 200, got shape \(7,\)"),
-], ids=["zero-x", "short-x", "short-r"])
+    ({"x": np.array([1.0, np.nan, 0.0, 0.0, 0.0])}, "truth.x must be nonzero and finite"),
+    ({"r": np.full(200, np.inf)}, "truth.r must be finite"),
+    ({"beta": -1.0}, "truth.beta must be a finite number >= 0, got -1.0"),
+    ({"beta": np.nan}, "truth.beta must be a finite number >= 0, got nan"),
+], ids=["zero-x", "short-x", "short-r", "nan-x", "inf-r", "negative-beta", "nan-beta"])
 @pytest.mark.parametrize("solve", ENTRY_SOLVES.values(), ids=ENTRY_SOLVES.keys())
 def test_malformed_truth_refused_before_the_sketch(solve, bad_truth, message, monkeypatch):
     # checked once, by name, where it enters: not a ZeroDivisionError or a
@@ -1106,6 +1167,57 @@ def test_entry_input_handling(inputs, solve):
     if isinstance(a, list) or a.dtype != np.float64:
         as_float = solve(np.array(a, dtype=float), np.array(b, dtype=float), cfg)
         assert res.solution.tobytes() == as_float.solution.tobytes()
+
+
+@st.composite
+def _problems(draw):
+    """(A, b, cfg, kind): gen_randsvd(m <= 300, n <= 8, kappa in [1, 1e14],
+    beta in {0, 1e-8, 1}, s) or gen_sparse's CSR A, in one draw in six with
+    its last column a copy of its first; a variant, with d > n where it takes
+    eps = sqrt(n/d); and an ENTRY_SOLVES kind to solve it by. The kind and
+    the copy are one draw, so every kind meets a copied column."""
+    kind, copied = draw(st.sampled_from([(k, i == 0) for i in range(6) for k in ENTRY_SOLVES]))
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(n + 1, 300))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        kappa = 10.0 ** draw(st.floats(0, 14))
+        p = gen_randsvd(m, n, kappa, draw(st.sampled_from([0.0, 1e-8, 1.0])), seed)
+    else:
+        p = gen_sparse(m, n, seed)
+    a = p.a
+    if copied:
+        a = (sp.hstack([a[:, :-1], a[:, :1]], format="csr") if sp.issparse(a)
+             else np.column_stack([a[:, :-1], a[:, 0]]))
+    variant = draw(st.sampled_from(["basic", "damped", "momentum"]))
+    d = draw(st.integers(n + (variant != "basic"), n + 40))
+    cfg = SolverConfig(d=d, zeta=min(d, 8), variant=variant, rng_seed=draw(st.integers(0, 2**16)))
+    return a, p.b, cfg, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(problem=_problems())
+def test_any_well_posed_solve_ends_quietly_and_repeats(problem):
+    # a documented stop reason, a finite solution unless diverged, no
+    # warning, and the same bits on a second call; or SingularMatrixError
+    # where SA is rank-deficient: A has a duplicated or (gen_sparse at small
+    # m) an empty column, or, at d near n, S maps a vector of range(A) to 0
+    a, b, cfg, kind = problem
+    solve = ENTRY_SOLVES[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res, again = solve(a, b, cfg), solve(a, b, cfg)
+        except SingularMatrixError:  # documented, for an R of SA with a zero on its diagonal
+            sa = SparseSignEmbedding(cfg.d, a.shape[0], cfg.zeta, cfg.rng_seed).apply(a)
+            assert np.linalg.matrix_rank(sa) < a.shape[1]
+            return
+    reasons = _REASONS[sketch_and_precondition if kind == "sp" else iterative_sketching]
+    assert res.trace.stop_reason in reasons
+    assert res.trace.stop_reason == "diverged" or np.isfinite(res.solution).all()
+    for got, want in [(res.solution, again.solution),
+                      (res.trace.residual_changes, again.trace.residual_changes)]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
