@@ -106,7 +106,9 @@ class SparseSignEmbedding:
         draws S once; its transpose is the buffer that
         linalg._qr_solve_in_place factors with no copy. An A or b that holds a
         NaN or inf raises ValueError naming it: each reaches the d-row
-        result, so no m-row temporary is scanned.
+        result, so no m-row temporary is scanned. Only where the result is
+        not finite is A or b itself scanned, to tell a finite one whose
+        sketch overflows (too large to sketch) from a non-finite one.
 
         A is read through its rows and, if sparse, its CSR arrays; any other
         sparse format is first copied whole to CSR (a solve on a 2e5 x 100
@@ -130,9 +132,13 @@ class SparseSignEmbedding:
         starts = (np.arange(self.zeta + 1) * self.d) // self.zeta  # row block k's first row, then d
         for j in range(-(-self.m // COLUMN_BLOCK)):  # each draw is freed before the next
             add_block(out, a, b, self._draw(j, starts), j * COLUMN_BLOCK, starts)
-        for name, sketched in [("A", out)] if b is None else [("A", out[:, :-1]), ("b", out[:, -1])]:
-            if not np.isfinite(sketched).all():
-                raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
+        parts = [("A", a, out)] if b is None else [("A", a, out[:, :-1]), ("b", b, out[:, -1])]
+        for name, given, sketched in parts:
+            if np.isfinite(sketched).all():
+                continue
+            if np.isfinite(given.data if sp.issparse(given) else given).all():
+                raise ValueError(f"{name} is too large to sketch without overflow; scale it down")
+            raise ValueError(f"{name} must be finite: its sketch holds a NaN or inf")
         return out
 
     def _add_dense(self, out, a, b, v, lo, starts) -> None:

@@ -56,6 +56,8 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
         raise ValueError(f"need a finite kappa >= 1, got {kappa}")
     if not 0 <= beta < np.inf:
         raise ValueError(f"need a finite beta >= 0, got {beta}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u1 = _haar_stiefel(m, n, rng)
     v = _haar_stiefel(n, n, rng)
@@ -73,29 +75,6 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
     return LsProblem(a=a, b=b, truth=Truth(x=x, r=r, kappa=float(kappa), beta=float(beta)))
 
 
-def _has_repeat(idx: np.ndarray) -> np.ndarray:
-    """Per row of idx, whether it holds a value twice."""
-    srt = np.sort(idx, axis=1)
-    return np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-
-
-def _distinct_rows(d: int, m: int, zeta: int, rng: np.random.Generator) -> np.ndarray:
-    """zeta distinct uniform indices in [0, d) for each of m rows, shape (m, zeta).
-
-    Sampled by vectorized rejection: redraw only the rows whose draw
-    contains a repeat, and check only those again. For zeta << d almost no
-    redraws are needed.
-    """
-    if zeta == d:
-        return np.tile(np.arange(d), (m, 1))
-    idx = rng.integers(0, d, size=(m, zeta))
-    bad = np.flatnonzero(_has_repeat(idx))
-    while bad.size:
-        idx[bad] = rng.integers(0, d, size=(bad.size, zeta))
-        bad = bad[_has_repeat(idx[bad])]
-    return idx
-
-
 def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
     """Sparse instance: exactly 3 distinct uniformly random column positions
     per row with +-1 values, Gaussian right-hand side. No ground truth."""
@@ -103,8 +82,19 @@ def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
         _check_integer(name, count)
     if not (m >= n >= 3):
         raise ValueError(f"need m >= n >= 3, got m={m}, n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    cols = _distinct_rows(n, m, 3, rng)
+    # by rejection: only the rows holding a repeat are drawn again, and only
+    # they are checked again; at n = 3 every row takes all three, undrawn
+    cols = np.tile(np.arange(3), (m, 1)) if n == 3 else rng.integers(0, n, size=(m, 3))
+    redraw, drawn = np.arange(m), cols
+    while True:
+        c0, c1, c2 = drawn.T
+        redraw = redraw[(c0 == c1) | (c0 == c2) | (c1 == c2)]
+        if not redraw.size:
+            break
+        cols[redraw] = drawn = rng.integers(0, n, size=(redraw.size, 3))
     vals = rng.choice(np.array([-1.0, 1.0]), size=(m, 3))
     indptr = 3 * np.arange(m + 1)
     a = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(m, n))
@@ -128,6 +118,8 @@ def kernel_problem(
     targets = _as_vector("targets", targets, m)
     for name, count in (("subset_size", subset_size), ("seed", seed)):
         _check_integer(name, count)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= subset_size <= m:
         raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
     try:

@@ -182,6 +182,8 @@ def theoretical_bound_curve(
     nan.
     """
     _check_integer("iters", iters)
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     idx = np.arange(iters + 1, dtype=float)
     if variant == "basic":
         if not 0 <= epsilon < _EPS_BASIC_MAX:
@@ -257,12 +259,17 @@ def sketch_and_solve(
     Returns the solution and the R factor of SA for reuse by the iteration;
     the QR overwrites the sketch where it was built. A malformed or
     non-finite A or b raises ValueError, as does an S of fewer rows d than A
-    has columns n; a singular R raises SingularMatrixError.
+    has columns n; a singular R raises SingularMatrixError naming SA.
     """
     a, b = _as_problem(a, b)
     if s.d < a.shape[1]:
         raise ValueError(f"S must have d >= n = {a.shape[1]} rows, got d = {s.d}")
-    return _qr_solve_in_place(s.apply(a, b).T)
+    try:
+        return _qr_solve_in_place(s.apply(a, b).T)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            "SA is singular: A is rank-deficient, or S maps part of range(A) to zero; "
+            "try a larger d or another rng_seed") from None
 
 
 def _as_problem(a, b, cfg: SolverConfig | None = None, truth: Truth | None = None) -> tuple:

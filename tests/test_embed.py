@@ -17,7 +17,6 @@ from itsketch.embed import (
     measure_distortion,
 )
 from itsketch.linalg import svd_values
-from itsketch.problems import _distinct_rows
 from peak import peak_bytes
 from reference import householder_qr_econ, osnap_sparse_sign, sparse_sign_apply
 
@@ -35,18 +34,6 @@ def rows_and_signs(s):
     dense = densify(s).T
     rows = np.nonzero(dense)[1].reshape(s.m, s.zeta)
     return rows, np.sign(np.take_along_axis(dense, rows, axis=1))
-
-
-def _distinct_rows_resort_all(d, m, zeta, rng):
-    """Reference rejection sampler: after each redraw, sort and check every
-    column again."""
-    idx = rng.integers(0, d, size=(m, zeta))
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, d, size=(int(bad.sum()), zeta))
 
 
 class _DenseGaussian:
@@ -140,16 +127,6 @@ class TestSparseSignNew:
         s2 = SparseSignEmbedding(20, 30, 4, rng_seed=7)
         (rows1, signs1), (rows2, signs2) = rows_and_signs(s1), rows_and_signs(s2)
         assert np.array_equal(rows1, rows2) and np.array_equal(signs1, signs2)
-
-    # gen_sparse's column sampler, in problems.py; (20, 5000, 8) and
-    # (10, 3000, 9) need many redraw rounds
-    @pytest.mark.parametrize("d,m,zeta", [(3, 500, 2), (20, 5000, 8), (10, 3000, 9), (400, 20000, 8)])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_distinct_rows_matches_resort_all(self, d, m, zeta, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        idx = _distinct_rows(d, m, zeta, rng)
-        assert np.array_equal(idx, _distinct_rows_resort_all(d, m, zeta, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_holds_no_array(self):
         s = SparseSignEmbedding(d=25, m=40, zeta=6, rng_seed=2)

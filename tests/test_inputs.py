@@ -152,6 +152,18 @@ def test_non_integer_count_refused_by_name(entry, name, value):
         call(**{**counts, name: value})
 
 
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry, (_, counts) in COUNTS.items() for name in counts
+    if name in ("seed", "iters")
+])
+def test_negative_seed_or_iters_refused_by_name(entry, name):
+    # a seed as SparseSignEmbedding's rng_seed: not NumPy's "expected
+    # non-negative integer" from default_rng, nor two empty bound curves
+    call, counts = COUNTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        call(**{**counts, name: -1})
+
+
 @pytest.mark.parametrize("args, name", [
     ((np.where(A == A[7, 1], np.nan, A),), "A"),
     ((sp.csr_matrix(np.where(A == A[7, 1], np.inf, A)),), "A"),
@@ -161,6 +173,19 @@ def test_non_integer_count_refused_by_name(entry, name, value):
 def test_apply_refuses_non_finite_input(args, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite: its sketch holds a NaN or inf"):
         S.apply(*args)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: S.apply(np.full((40, 2), 1e308)), "A"),
+    (lambda: S.apply(sp.csr_matrix(np.full((40, 2), 1e308))), "A"),
+    (lambda: S.apply(np.full(40, 1e308)), "A"),
+    (lambda: S.apply(A, np.full(40, 1e308)), "b"),
+    (lambda: iterative_sketching(np.full((40, 3), 1e308), B, CFG), "A"),
+], ids=["dense", "csr", "vector", "b", "solver"])
+def test_apply_tells_a_finite_input_too_large_to_sketch(call, name):
+    # its sketch overflows, so it is not called non-finite
+    with pytest.raises(ValueError, match=f"^{name} is too large to sketch without overflow; scale it down"):
+        call()
 
 
 def test_nan_basis_refused_by_measure_distortion():

@@ -114,7 +114,38 @@ class TestHaarProxy:
         assert ks <= 0.05
 
 
+def _columns_resort_all(m, n, rng):
+    """Reference draw of gen_sparse's three distinct columns per row (n > 3):
+    after each redraw, sort and check every row again."""
+    cols = rng.integers(0, n, size=(m, 3))
+    while True:
+        srt = np.sort(cols, axis=1)
+        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
+        if not bad.any():
+            return cols
+        cols[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
+
+
 class TestGenSparse:
+    # n = 4 and 5 need many redraw rounds; at n = 3 no index is drawn
+    @pytest.mark.parametrize("n", [3, 4, 5, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_columns_match_resort_all(self, n, seed, monkeypatch):
+        m = 5000
+        made = []  # gen_sparse's generator, kept to read its final state
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+        p = gen_sparse(m, n, seed)
+        ref = default_rng(seed)
+        cols = np.tile(np.arange(3), (m, 1)) if n == 3 else _columns_resort_all(m, n, ref)
+        signs = ref.choice(np.array([-1.0, 1.0]), size=(m, 3))
+        b = ref.standard_normal(m)
+        order = np.argsort(cols, axis=1)
+        assert np.array_equal(p.a.indices.reshape(m, 3), np.take_along_axis(cols, order, axis=1))
+        assert np.array_equal(p.a.data.reshape(m, 3), np.take_along_axis(signs, order, axis=1))
+        assert np.array_equal(p.b, b)
+        assert made[0].bit_generator.state == ref.bit_generator.state
+
     # at n = 3 every row holds all three columns, so no index is drawn
     @pytest.mark.parametrize("n", [30, 3])
     def test_structure(self, n):

@@ -298,6 +298,18 @@ class TestSketchAndSolve:
         fe_bound = 2 * math.sqrt(eps) / (1 - eps) * p.truth.kappa / norm_a * beta
         assert np.linalg.norm(p.truth.x - x0) <= fe_bound * (1 + 1e-10)
 
+    @pytest.mark.parametrize("solve", [iterative_sketching, sketch_and_precondition], ids=["is", "sp"])
+    def test_singular_sketch_of_full_rank_a_named(self, solve):
+        # A has rank 6, but the 6 x 7 S maps a vector of range(A) to zero: the
+        # bare "zero diagonal entry in triangular factor" named neither
+        p = gen_sparse(7, 6, 0)
+        assert np.linalg.matrix_rank(p.a.toarray()) == 6
+        cfg = SolverConfig(d=6, zeta=6, variant="basic", rng_seed=0)
+        with pytest.raises(SingularMatrixError, match=(
+                r"^SA is singular: A is rank-deficient, or S maps part of range\(A\) to zero; "
+                r"try a larger d or another rng_seed$")):
+            solve(p.a, p.b, cfg)
+
     def test_bits_equal_across_blas_threads(self):
         # S's products with A are SciPy's sparse kernels, two of S's row
         # blocks at a time over three column blocks, and the QR runs on one
