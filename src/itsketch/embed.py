@@ -65,14 +65,10 @@ class SparseSignEmbedding:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        for name in ("d", "m", "zeta", "rng_seed"):
-            _check_integer(name, getattr(self, name))
-        if self.d < 1 or self.m < 1:
-            raise ValueError("d and m must be >= 1")
+        for name, least in (("d", 1), ("m", 1), ("zeta", None), ("rng_seed", 0)):
+            _check_integer(name, getattr(self, name), least)
         if not 1 <= self.zeta <= self.d:
             raise ValueError(f"need 1 <= zeta <= d, got zeta={self.zeta}, d={self.d}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def scale(self) -> float:

@@ -134,11 +134,22 @@ def _read(name: str, v, sparse: bool = False):
     return v.astype(float, copy=False)
 
 
-def _check_integer(name: str, value) -> None:
-    """ValueError unless value is a Python or NumPy integer. A bool is refused
-    too: Python counts it an int, but no count of the package is a flag."""
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """ValueError unless value is a Python or NumPy integer, and, given least,
+    no smaller than it. A bool is refused too: Python counts it an int, but no
+    count of the package is a flag."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_number(name: str, value, least: float, strict: bool = False) -> None:
+    """ValueError unless value is a finite number >= least (> least if strict).
+    A NaN is refused: it compares false."""
+    if not (least < value if strict else least <= value) or not value < np.inf:
+        rel = ">" if strict else ">="
+        raise ValueError(f"{name} must be a finite number {rel} {least}, got {value!r}")
 
 
 def _as_matrix(name: str, a, sparse: bool = False, tall: bool = False):
@@ -226,6 +237,15 @@ def _norm2(v: np.ndarray) -> float:
     the norm itself does (np.linalg.norm squares first, past about 1.3e154).
     A NaN or inf entry gives a NaN or inf norm."""
     return float(scipy.linalg.norm(v, check_finite=False))
+
+
+def _divisor_norm(name: str, v: np.ndarray, quotient: str) -> float:
+    """_norm2(v), or a ValueError naming v unless it is nonzero and finite (nrm2
+    is NaN or inf if an entry is): the quotient divides by it."""
+    norm = _norm2(v)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"{name} must be nonzero and finite: the {quotient} divides by its norm")
+    return norm
 
 
 def svd_values(a: np.ndarray) -> np.ndarray:

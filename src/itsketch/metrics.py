@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _as_matrix, _as_vector, _norm2, _thin_qr, svd_values
+from .linalg import (
+    _as_matrix,
+    _as_vector,
+    _check_number,
+    _divisor_norm,
+    _norm2,
+    _thin_qr,
+    svd_values,
+)
 
 
 class WedinHypothesisError(ValueError):
@@ -17,20 +25,18 @@ class WedinHypothesisError(ValueError):
 
 
 def forward_error(x_true: np.ndarray, x_hat: np.ndarray) -> float:
-    """Relative forward error ||x - x_hat|| / ||x|| of two real n-vectors."""
+    """Relative forward error ||x - x_hat|| / ||x|| of two real n-vectors, x
+    nonzero and finite."""
     x_true = _as_vector("x_true", x_true)
-    nx = _norm2(x_true)
-    if nx == 0.0:
-        raise ValueError("forward_error: true solution has zero norm")
+    nx = _divisor_norm("x_true", x_true, "forward error")
     return _norm2(x_true - _as_vector("x_hat", x_hat, x_true.size)) / nx
 
 
 def residual_error(r_true: np.ndarray, r_hat: np.ndarray) -> float:
-    """Relative residual error ||r(x) - r(x_hat)|| / ||r(x)|| of real m-vectors."""
+    """Relative residual error ||r(x) - r(x_hat)|| / ||r(x)|| of real m-vectors,
+    r(x) nonzero (not a consistent system's) and finite."""
     r_true = _as_vector("r_true", r_true)
-    nr = _norm2(r_true)
-    if nr == 0.0:
-        raise ValueError("residual_error: true residual has zero norm (consistent system)")
+    nr = _divisor_norm("r_true", r_true, "residual error")
     return _norm2(r_true - _as_vector("r_hat", r_hat, r_true.size)) / nr
 
 
@@ -104,8 +110,14 @@ def wedin_bounds(
     """Absolute perturbation bounds on ||x - x_hat|| and ||r(x) - r(x_hat)||
     for a perturbation of relative size epsilon; requires eps * kappa <= 0.1.
 
-    Callers divide by ||x|| or ||r|| for relative displays.
+    Callers divide by ||x|| or ||r|| for relative displays. A kappa that is
+    not a finite number >= 1, a norm_a not one > 0, or a norm_x, norm_r or
+    epsilon not one >= 0 raises ValueError by name, before the hypothesis.
     """
+    _check_number("kappa", kappa, 1)
+    _check_number("norm_a", norm_a, 0, strict=True)
+    for name, value in (("norm_x", norm_x), ("norm_r", norm_r), ("epsilon", epsilon)):
+        _check_number(name, value, 0)
     if epsilon * kappa > 0.1:
         raise WedinHypothesisError(
             f"requires eps * kappa <= 0.1, got {epsilon * kappa:.3e}"

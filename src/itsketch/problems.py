@@ -48,16 +48,14 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
     """Dense instance A = U1 Sigma V' with log-equispaced singular values in
     [1/kappa, 1], unit-norm planted solution, and residual of norm beta drawn
     uniformly in the orthogonal complement of range(U1)."""
-    for name, count in (("m", m), ("n", n), ("seed", seed)):
-        _check_integer(name, count)
+    for name, count, least in (("m", m, None), ("n", n, None), ("seed", seed, 0)):
+        _check_integer(name, count, least)
     if not (m > n >= 2):
         raise ValueError(f"need m > n >= 2, got m={m}, n={n}")
     if not 1 <= kappa < np.inf:
         raise ValueError(f"need a finite kappa >= 1, got {kappa}")
     if not 0 <= beta < np.inf:
         raise ValueError(f"need a finite beta >= 0, got {beta}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u1 = _haar_stiefel(m, n, rng)
     v = _haar_stiefel(n, n, rng)
@@ -78,12 +76,10 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
 def gen_sparse(m: int, n: int, seed: int) -> LsProblem:
     """Sparse instance: exactly 3 distinct uniformly random column positions
     per row with +-1 values, Gaussian right-hand side. No ground truth."""
-    for name, count in (("m", m), ("n", n), ("seed", seed)):
-        _check_integer(name, count)
+    for name, count, least in (("m", m, None), ("n", n, None), ("seed", seed, 0)):
+        _check_integer(name, count, least)
     if not (m >= n >= 3):
         raise ValueError(f"need m >= n >= 3, got m={m}, n={n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # by rejection: only the rows holding a repeat are drawn again, and only
     # they are checked again; at n = 3 every row takes all three, undrawn
@@ -116,10 +112,8 @@ def kernel_problem(
     points = _as_matrix("points", points)
     m = points.shape[0]
     targets = _as_vector("targets", targets, m)
-    for name, count in (("subset_size", subset_size), ("seed", seed)):
-        _check_integer(name, count)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, count, least in (("subset_size", subset_size, None), ("seed", seed, 0)):
+        _check_integer(name, count, least)
     if not 1 <= subset_size <= m:
         raise ValueError(f"need 1 <= subset_size <= row count {m}, got {subset_size}")
     try:

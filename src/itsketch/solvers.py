@@ -20,6 +20,8 @@ from .linalg import (
     _as_matrix,
     _as_vector,
     _check_integer,
+    _check_number,
+    _divisor_norm,
     _norm2,
     _qr_solve_in_place,
     svd_values,
@@ -60,14 +62,12 @@ class SolverConfig:
         """ValueError unless d and max_iters are integers, A's n >= 1, d >= n,
         max_iters >= 0 and variant and init are known. zeta and rng_seed are
         left to SparseSignEmbedding, which every solve builds from them."""
-        for name in ("d", "max_iters"):
-            _check_integer(name, getattr(self, name))
+        _check_integer("d", self.d)
+        _check_integer("max_iters", self.max_iters, 0)
         if n < 1:
             raise ValueError(f"A must have at least one column, got n={n}")
         if self.d < n:
             raise ValueError(f"embedding dimension d={self.d} must be >= n={n}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
         if self.variant not in ("basic", "damped", "momentum"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.init not in ("sketch_and_solve", "zero"):
@@ -179,11 +179,13 @@ def theoretical_bound_curve(
     i = 0 .. iters, for overlaying on measured traces.
 
     The momentum bound is stated only for i >= 2; its entries for i < 2 are
-    nan.
+    nan. A negative iters raises ValueError, as do a kappa, norm_a or norm_r
+    that wedin_bounds refuses, by name, before any bound is computed.
     """
-    _check_integer("iters", iters)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    _check_integer("iters", iters, 0)
+    _check_number("kappa", kappa, 1)
+    _check_number("norm_a", norm_a, 0, strict=True)
+    _check_number("norm_r", norm_r, 0)
     idx = np.arange(iters + 1, dtype=float)
     if variant == "basic":
         if not 0 <= epsilon < _EPS_BASIC_MAX:
@@ -285,13 +287,10 @@ def _as_problem(a, b, cfg: SolverConfig | None = None, truth: Truth | None = Non
     b = _as_vector("b", b, m)
     if truth is not None:
         x, r = _as_vector("truth.x", truth.x, n), _as_vector("truth.r", truth.r, m)
-        if not 0 < _norm2(x) < math.inf:  # nrm2 is NaN or inf if an entry is
-            raise ValueError(
-                "truth.x must be nonzero and finite: the forward error divides by its norm")
+        _divisor_norm("truth.x", x, "forward error")
         if not _norm2(r) < math.inf:
             raise ValueError("truth.r must be finite")
-        if not 0 <= truth.beta < math.inf:
-            raise ValueError(f"truth.beta must be a finite number >= 0, got {truth.beta!r}")
+        _check_number("truth.beta", truth.beta, 0)
     return a, b
 
 
@@ -554,11 +553,8 @@ def lsqr(
     raises ValueError, as does a malformed A, b (length m), x0 (length n) or
     R (dense n x n), and an rtol that is not a finite number >= 0; a zero on
     R's diagonal raises SingularMatrixError."""
-    _check_integer("max_iters", max_iters)
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
-    if not 0 <= rtol < math.inf:
-        raise ValueError(f"rtol must be a finite number >= 0, got {rtol!r}")
+    _check_integer("max_iters", max_iters, 0)
+    _check_number("rtol", rtol, 0)
     a = _as_matrix("A", a, sparse=True)
     m, n = a.shape
     b, x0 = _as_vector("b", b, m), _as_vector("x0", x0, n)

@@ -99,7 +99,7 @@ class TestSparseSignNew:
         ("d", 20.0, "d must be an integer, got 20.0"), ("m", 200.0, "m must be an integer, got 200.0"),
         ("zeta", True, "zeta must be an integer, got True"),
         ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
-        ("d", 0, "d and m must be >= 1"), ("m", 0, "d and m must be >= 1"),
+        ("d", 0, "d must be >= 1, got 0"), ("m", 0, "m must be >= 1, got 0"),
         ("d", 3, "need 1 <= zeta <= d, got zeta=4, d=3"), ("zeta", 0, "need 1 <= zeta <= d, got zeta=0, d=20"),
         ("zeta", 21, "need 1 <= zeta <= d, got zeta=21, d=20"), ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
     ])

@@ -27,6 +27,7 @@ from itsketch import (
     sketch_and_solve,
     svd_values,
     theoretical_bound_curve,
+    wedin_bounds,
 )
 
 _rng = np.random.default_rng(0)
@@ -43,6 +44,7 @@ MATRIX = ["complex", "ragged-list", "1-d", "3-d"]
 TALL = MATRIX + ["wide"]
 VECTOR = ["complex", "ragged-list", "short", "length-1", "2-d"]
 ANY_VECTOR = ["complex", "ragged-list", "2-d"]  # a length no other input fixes
+DIVISOR = ["zero", "nan", "inf"]  # a true vector whose norm a metric divides by
 # test_entry_input_handling draws IS's and SP's other forms of A and b, and
 # their lists and other dtypes
 DRAWN = {"A": (A, ["1-d", "3-d", "wide"]), "b": (B, ["2-d"])}
@@ -62,8 +64,10 @@ ENTRIES = {
     "svd_values": (svd_values, {"A": (A, MATRIX + ["sparse"])}),
     "backward_error": (
         backward_error, {"A": (A, TALL + ["sparse"]), "b": (B, VECTOR), "x_hat": (X, VECTOR)}),
-    "forward_error": (forward_error, {"x_true": (X, ANY_VECTOR), "x_hat": (X + 1, VECTOR)}),
-    "residual_error": (residual_error, {"r_true": (B, ANY_VECTOR), "r_hat": (B + 1, VECTOR)}),
+    "forward_error": (
+        forward_error, {"x_true": (X, ANY_VECTOR + DIVISOR), "x_hat": (X + 1, VECTOR)}),
+    "residual_error": (
+        residual_error, {"r_true": (B, ANY_VECTOR + DIVISOR), "r_hat": (B + 1, VECTOR)}),
     "apply": (S.apply, {"A": (A, MATRIX + ["short"]), "b": (B, VECTOR)}),
     "measure_distortion": (
         lambda basis_q: measure_distortion(S, basis_q), {"basis_q": (Q, MATRIX + ["sparse"])}),
@@ -81,7 +85,8 @@ def _malformed(v: np.ndarray, form: str):
     return {
         "complex": lambda: v * (1 + 1j), "1-d": lambda: v[:, 0], "3-d": lambda: v[..., None],
         "wide": lambda: v[:2], "sparse": lambda: sp.csr_matrix(v), "short": lambda: v[:-1],
-        "length-1": lambda: v[:1], "2-d": lambda: v[:, None],
+        "length-1": lambda: v[:1], "2-d": lambda: v[:, None], "zero": lambda: 0 * v,
+        "nan": lambda: np.r_[np.nan, v[1:]], "inf": lambda: np.r_[v[:-1], np.inf],
     }[form]()
 
 
@@ -106,7 +111,7 @@ def _bits(out) -> bytes:
 ])
 def test_malformed_input_refused_by_name(entry, name, form):
     # where it enters, as a ValueError whose message starts with the input's
-    # name: never a 0.0 or a real-part result, nor an AttributeError, a
+    # name: never a 0.0, NaN or real-part result, nor an AttributeError, a
     # broadcast error or an unpack error from deeper in
     value = ENTRIES[entry][1][name][0]
     with pytest.raises(ValueError, match=f"^{name} "):
@@ -137,6 +142,11 @@ COUNTS = {
     "choose_dim": (lambda m, n: choose_dim(m, n, 1e-16, "basic"), {"m": 400, "n": 10}),
     "theoretical_bound_curve": (
         lambda iters: theoretical_bound_curve("damped", 0.1, 1.0, 1.0, 1.0, iters), {"iters": 3}),
+    "iterative_sketching": (
+        lambda max_iters, rng_seed: iterative_sketching(
+            A, B, SolverConfig(d=12, max_iters=max_iters, rng_seed=rng_seed)),
+        {"max_iters": 3, "rng_seed": 0}),
+    "lsqr": (lambda max_iters: lsqr(A, B, X, R, max_iters), {"max_iters": 3}),
 }
 
 
@@ -154,14 +164,41 @@ def test_non_integer_count_refused_by_name(entry, name, value):
 
 @pytest.mark.parametrize("entry, name", [
     (entry, name) for entry, (_, counts) in COUNTS.items() for name in counts
-    if name in ("seed", "iters")
+    if name in ("seed", "rng_seed", "iters", "max_iters")  # the counts with a least of their own
 ])
 def test_negative_seed_or_iters_refused_by_name(entry, name):
-    # a seed as SparseSignEmbedding's rng_seed: not NumPy's "expected
-    # non-negative integer" from default_rng, nor two empty bound curves
+    # by linalg._check_integer, as SparseSignEmbedding's d and m below 1:
+    # not NumPy's "expected non-negative integer" from default_rng, nor two
+    # empty bound curves
     call, counts = COUNTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
         call(**{**counts, name: -1})
+
+
+# the inputs of the two bound formulas, each with its good value
+BOUNDS = {
+    "wedin_bounds": (wedin_bounds, {
+        "kappa": 1e3, "norm_a": 1.0, "norm_x": 1.0, "norm_r": 1.0, "epsilon": 1e-16}),
+    "theoretical_bound_curve": (
+        lambda kappa, norm_a, norm_r: theoretical_bound_curve("damped", 0.1, kappa, norm_a, norm_r, 2),
+        {"kappa": 1e3, "norm_a": 1.0, "norm_r": 1.0}),
+}
+# (what a finite input must be, values that break it): kappa's, norm_a's,
+# and every other input's
+BOUND_RULES = {"kappa": (">= 1", [0.5, np.nan, np.inf]), "norm_a": ("> 0", [0.0, -1.0, np.nan, np.inf])}
+OTHER_RULE = (">= 0", [-1.0, np.nan, np.inf])
+
+
+@pytest.mark.parametrize("entry, name, rule, value", [
+    (entry, name, rule, value) for entry, (_, inputs) in BOUNDS.items() for name in inputs
+    for rule, values in [BOUND_RULES.get(name, OTHER_RULE)] for value in values
+])
+def test_bound_refuses_an_input_it_cannot_use_by_name(entry, name, rule, value):
+    # before computing: not a NaN, negative or infinite bound, nor a bare
+    # ZeroDivisionError at norm_a = 0
+    call, inputs = BOUNDS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number {rule}, got {value!r}$"):
+        call(**{**inputs, name: value})
 
 
 @pytest.mark.parametrize("args, name", [

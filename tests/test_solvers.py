@@ -21,7 +21,7 @@ from itsketch.linalg import (
     tri_solve_upper,
     tri_solve_upper_transpose,
 )
-from itsketch.metrics import forward_error
+from itsketch.metrics import forward_error, wedin_bounds
 from itsketch.problems import Truth, gen_randsvd, gen_sparse
 import itsketch.solvers
 from itsketch.solvers import (
@@ -1181,6 +1181,14 @@ def test_entry_input_handling(inputs, solve):
         assert res.solution.tobytes() == as_float.solution.tobytes()
 
 
+def _draw_config(draw, n: int) -> SolverConfig:
+    """A variant, with d <= n + 40 and d > n where it takes eps = sqrt(n/d),
+    zeta = min(d, 8) and a drawn rng_seed."""
+    variant = draw(st.sampled_from(["basic", "damped", "momentum"]))
+    d = draw(st.integers(n + (variant != "basic"), n + 40))
+    return SolverConfig(d=d, zeta=min(d, 8), variant=variant, rng_seed=draw(st.integers(0, 2**16)))
+
+
 @st.composite
 def _problems(draw):
     """(A, b, cfg, kind): gen_randsvd(m <= 300, n <= 8, kappa in [1, 1e14],
@@ -1201,10 +1209,7 @@ def _problems(draw):
     if copied:
         a = (sp.hstack([a[:, :-1], a[:, :1]], format="csr") if sp.issparse(a)
              else np.column_stack([a[:, :-1], a[:, 0]]))
-    variant = draw(st.sampled_from(["basic", "damped", "momentum"]))
-    d = draw(st.integers(n + (variant != "basic"), n + 40))
-    cfg = SolverConfig(d=d, zeta=min(d, 8), variant=variant, rng_seed=draw(st.integers(0, 2**16)))
-    return a, p.b, cfg, kind
+    return a, p.b, _draw_config(draw, n), kind
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1230,6 +1235,45 @@ def test_any_well_posed_solve_ends_quietly_and_repeats(problem):
     for got, want in [(res.solution, again.solution),
                       (res.trace.residual_changes, again.trace.residual_changes)]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# the largest kappa for which wedin_bounds' hypothesis kappa * 100u <= 0.1 holds
+_WEDIN_KAPPA_MAX = 0.1 / (100 * U)
+
+
+@st.composite
+def _planted_problems(draw):
+    """(gen_randsvd problem, cfg, IS or SP): _problems' space of randsvd
+    draws, at the kappa <= _WEDIN_KAPPA_MAX that criterion 09's bound needs."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(n + 1, 300))
+    kappa = 10.0 ** draw(st.floats(0, math.log10(_WEDIN_KAPPA_MAX)))
+    p = gen_randsvd(m, n, kappa, draw(st.sampled_from([0.0, 1e-8, 1.0])), draw(st.integers(0, 2**16)))
+    return p, _draw_config(draw, n), draw(st.sampled_from(["is", "sp"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problem=_planted_problems())
+def test_any_converged_solve_is_forward_stable(problem):
+    # the paper's claim as criterion 09 gates it, over random problems whose
+    # S embeds range(A) with distortion eps < 0.9: a solve that ends by a
+    # converged reason has ||x - x_hat|| within wedin_bounds at 100u; or
+    # SingularMatrixError where S maps a vector of range(A) to 0. Nearer 1,
+    # SP read 260 W at eps = 0.996, over the bound's 223 W; at eps = 1 IS
+    # stopped by the rule 1e34 off (an SA with condest >= 1e17)
+    p, cfg, kind = problem
+    s = SparseSignEmbedding(cfg.d, p.a.shape[0], cfg.zeta, cfg.rng_seed)
+    if measure_distortion(s, np.linalg.qr(p.a)[0]).epsilon >= 0.9:
+        return
+    try:
+        res = ENTRY_SOLVES[kind](p.a, p.b, cfg)
+    except SingularMatrixError:
+        return
+    if res.trace.stop_reason in ("stopped_by_rule", "stagnated", "lsqr_tolerance"):
+        t = p.truth
+        fe_bound, _ = wedin_bounds(
+            t.kappa, np.linalg.norm(p.a, 2), np.linalg.norm(t.x), np.linalg.norm(t.r), 100 * U)
+        assert np.linalg.norm(res.solution - t.x) <= fe_bound
 
 
 @pytest.mark.parametrize("variant", ["basic", "damped", "momentum"])
