@@ -58,9 +58,10 @@ def tri_solve_upper_transpose(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _tri_solve(r, c, 1)
 
 
-def _find_openblas_threads(package):
-    """(get, set) of the thread count of the OpenBLAS that package (numpy or scipy)
-    ships in its own `<name>.libs` folder; or None."""
+def _find_openblas(package):
+    """symbol(op), the function op (say "get_config") or None, of the OpenBLAS that
+    package (numpy or scipy) ships in its own `<name>.libs` folder, under the
+    symbol prefix and suffix of that copy's thread-count pair; or None."""
     libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
     for path in libs.glob("lib*openblas*"):
         try:
@@ -68,11 +69,18 @@ def _find_openblas_threads(package):
         except OSError:
             continue
         for pre, suf in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
-            get, set_ = (getattr(lib, f"{pre}{op}_num_threads{suf}", None) for op in ("get", "set"))
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+            if all(hasattr(lib, f"{pre}{op}_num_threads{suf}") for op in ("get", "set")):
+                return lambda op: getattr(lib, f"{pre}{op}{suf}", None)
+
+
+def _find_openblas_threads(package):
+    """(get, set) of the thread count of _find_openblas(package); or None."""
+    symbol = _find_openblas(package)
+    if symbol is not None:
+        get, set_ = symbol("get_num_threads"), symbol("set_num_threads")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
 
 
 _get_threads, _set_threads = _find_openblas_threads(np) or (None, None)

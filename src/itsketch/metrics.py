@@ -68,9 +68,7 @@ def _backward_error_of(a: np.ndarray):
 
     def be(b: np.ndarray, x_hat: np.ndarray) -> float:
         b, x_hat = _as_vector("b", b, m), _as_vector("x_hat", x_hat, n)
-        nx = _norm2(x_hat)
-        if not 0.0 < nx < np.inf:
-            raise ValueError(f"backward_error requires x_hat != 0 with a finite norm, got {nx}")
+        nx = _divisor_norm("x_hat", x_hat, "backward error")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             r_hat = b - a @ x_hat
         nr = _norm2(r_hat)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from .linalg import _as_matrix, _as_vector, _check_integer, _thin_qr
+from .linalg import _as_matrix, _as_vector, _check_integer, _check_number, _thin_qr
 
 
 @dataclass
@@ -52,10 +52,8 @@ def gen_randsvd(m: int, n: int, kappa: float, beta: float, seed: int) -> LsProbl
         _check_integer(name, count, least)
     if not (m > n >= 2):
         raise ValueError(f"need m > n >= 2, got m={m}, n={n}")
-    if not 1 <= kappa < np.inf:
-        raise ValueError(f"need a finite kappa >= 1, got {kappa}")
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"need a finite beta >= 0, got {beta}")
+    _check_number("kappa", kappa, 1)
+    _check_number("beta", beta, 0)
     rng = np.random.default_rng(seed)
     u1 = _haar_stiefel(m, n, rng)
     v = _haar_stiefel(n, n, rng)

@@ -31,16 +31,12 @@ SUBSET = {"kappas": (1e2, 1e14), "betas": (0.0, 1e-6, 10.0), "seeds": (0, 1)}
 def _openblas_config(package) -> str:
     """The run-time config string (version, build flags, chosen CPU kernel) of
     the OpenBLAS that package (numpy or scipy) ships in its `<name>.libs`."""
-    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-    for path in libs.glob("lib*openblas*"):
-        lib = ctypes.CDLL(str(path))
-        for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                       "openblas_get_config"):
-            get = getattr(lib, symbol, None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                return get().decode()
-    return "no OpenBLAS found"
+    symbol = linalg._find_openblas(package)
+    get = symbol and symbol("get_config")
+    if not get:
+        return "no OpenBLAS found"
+    get.restype = ctypes.c_char_p
+    return get().decode()
 
 
 def pin_key(grid: str) -> str:
@@ -64,8 +60,8 @@ def test_grid_hashes_to_its_pinned_digest(grid):
 
 
 def test_paper_subset_hash_repeats_across_runs_and_threads():
-    first = audit.digest(audit.paper(**SUBSET))
-    assert first[0] == 48
+    first, second = (audit.digest(audit.paper(**SUBSET)) for _ in range(2))
+    assert first == second and first[0] == 48
     probe = (f"import sys; sys.path.insert(0, {str(Path(audit.__file__).parent)!r}); "
              f"import audit; print(audit.digest(audit.paper(**{SUBSET!r}))[2])")
     assert probe_outputs(probe) == [first[2] + "\n"] * 2

@@ -99,7 +99,7 @@ class TestFlags:
         out = tmp_path / "o.csv"
         argv = ["solve", "--m", "60", "--n", "5", "--cond", cond, "--resnorm", resnorm]
         assert run(argv + ["--out", str(out)]) == EXIT_USAGE
-        assert f"finite {name}" in capsys.readouterr().err
+        assert f"{name} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     # --repeats 0 crashed after the loop (exit 1, kept for divergence), and

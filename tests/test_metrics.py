@@ -102,7 +102,7 @@ class TestBackwardError:
     def test_non_finite_x_hat_raises_value_error(self, x_hat):
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal((50, 2)), rng.standard_normal(50)
-        with pytest.raises(ValueError, match="finite norm"):
+        with pytest.raises(ValueError, match="^x_hat must be nonzero and finite: the backward error divides by its norm$"):
             backward_error(a, b, x_hat)
 
     def test_overflowing_residual_raises_value_error(self):

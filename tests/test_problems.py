@@ -53,7 +53,7 @@ class TestGenRandsvd:
         (10.0, np.nan, "beta"), (10.0, np.inf, "beta"),
     ], ids=["kappa-nan", "kappa-inf", "beta-nan", "beta-inf"])
     def test_non_finite_parameter_rejected(self, kappa, beta, name):
-        with pytest.raises(ValueError, match=f"finite {name}"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= "):
             gen_randsvd(10, 2, kappa, beta, 0)
 
     @pytest.mark.parametrize("seed", range(100))
