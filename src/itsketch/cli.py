@@ -68,19 +68,14 @@ def _write_csv(path: str, header: str, rows: list[list]) -> None:
             f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _thread_count() -> int:
-    env = os.environ.get("RLS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _map_trials(fn, items: list):
-    workers = min(_thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    # each small QR sets OpenBLAS (NumPy's and SciPy's) to one thread for the whole
-    # process; hold both there while trials overlap, so no trial's bits depend on timing
+    """[fn(it) for it in items], on one worker thread per core (at most one per
+    item), with OpenBLAS (NumPy's and SciPy's) held at one thread throughout.
+
+    Each small QR sets OpenBLAS to one thread for the whole process, so the hold
+    keeps every trial's bits from depending on another's timing; the result is
+    that of a serial run at OPENBLAS_NUM_THREADS=1, whatever the core count."""
+    workers = min(os.cpu_count() or 1, len(items))
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -3,6 +3,7 @@ and determinism."""
 
 import argparse
 import math
+import os
 
 import numpy as np
 import pytest
@@ -314,24 +315,24 @@ class TestConvergence:
             "convergence", "--m", "300", "--n", "10", "--cond", "1e2", "1e3",
             "--resnorm", "1e-3", "--seed", "0", "1", "2", "--max-iters", "10",
         ]
-        monkeypatch.setenv("RLS_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = tmp_path / "serial.csv"
         run(argv + ["--out", str(serial)])
-        monkeypatch.setenv("RLS_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         parallel = tmp_path / "parallel.csv"
         run(argv + ["--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_pooled_trials_run_blas_on_one_thread(self, blas_threads, monkeypatch):
-        monkeypatch.setenv("RLS_THREADS", "2")
         assert _map_trials(lambda _: blas_threads(), [0, 1, 2, 3]) == [1, 1, 1, 1]
         assert blas_threads() == 2
-        monkeypatch.setenv("RLS_THREADS", "1")
-        assert _map_trials(lambda _: blas_threads(), [0, 1]) == [2, 2]
+        # one worker takes the same path
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert _map_trials(lambda _: blas_threads(), [0, 1]) == [1, 1]
+        assert blas_threads() == 2
 
-    def test_pooled_trials_run_scipy_blas_on_one_thread(self, scipy_blas_threads, monkeypatch):
+    def test_pooled_trials_run_scipy_blas_on_one_thread(self, scipy_blas_threads):
         # the trials' triangular solves (dtrtrs) and BLAS norms run in SciPy's OpenBLAS
-        monkeypatch.setenv("RLS_THREADS", "2")
         assert _map_trials(lambda _: scipy_blas_threads(), [0, 1, 2, 3]) == [1, 1, 1, 1]
         assert scipy_blas_threads() == 2
 
@@ -340,9 +341,8 @@ class TestConvergence:
         # OpenBLAS thread count; pooled trials hold it at one thread throughout,
         # so neither the count nor the timing of another trial's QR shows
         probe = (
-            "import hashlib, os\n"
+            "import hashlib\n"
             "from itsketch.cli import main\n"
-            "os.environ['RLS_THREADS'] = '2'\n"
             f"out = {str(tmp_path / 'conv.csv')!r}\n"
             "for _ in range(2):\n"
             "    main(['convergence', '--m', '20000', '--n', '60', '--cond', '1e10',\n"

@@ -103,3 +103,20 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_environment_reads():
+    # a setting code can decide itself is not read from the environment
+    src = pathlib.Path(itsketch.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "getenv")]
+    assert reads == []
